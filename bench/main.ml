@@ -1,11 +1,12 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Table 1, Table 2, Figures 6-9) on the synthetic SPECfp
-   populations, plus Bechamel micro-benchmarks of the compiler itself.
+(* Experiment harness: regenerates every table and figure of the paper's
+   evaluation (Table 1, Table 2, Figures 6-9) and our ablations on the
+   synthetic SPECfp populations.  Timing lives in perfbench/ (see
+   perfbench/README.md); this program only prints results.
 
    Usage:
      main.exe [table1] [table2] [fig6] [fig7] [fig8] [fig9] [ablation]
-              [micro] [frontier] [--quick] [--jobs N] [--cache DIR]
-              [--resume] [--telemetry-csv FILE]
+              [--quick] [--jobs N] [--cache DIR] [--resume]
+              [--telemetry-csv FILE]
    With no selector, everything runs.  --quick shrinks the populations
    (figures *and* ablations) and skips the 2-bus variants of the
    sensitivity figures.
@@ -209,68 +210,18 @@ let fig6 engine =
 
 (* ------------------------------------------------------------------ *)
 
-let fig7 engine =
-  Printf.printf
-    "Figure 7: mean ED2 ratio vs number of supported frequencies\n%!";
-  let steps_list = [ None; Some 16; Some 8; Some 4 ] in
-  let cells =
-    List.concat_map
-      (fun buses ->
-        List.concat_map
-          (fun steps ->
-            all_cells ?n_loops:(fig_loops ()) ?grid_steps:steps ~buses ())
-          steps_list)
-      (sense_buses ())
-  in
-  let outcomes = ref (Sweep.run engine ~label:"fig7" ~loops_of cells) in
-  let next_group n =
-    let g = Listx.take n !outcomes in
-    outcomes := Listx.drop n !outcomes;
-    g
-  in
-  let n_specs = List.length Specfp.all in
-  let t =
-    Tablefmt.create
-      [
-        ("buses", Tablefmt.Right);
-        ("any freq", Tablefmt.Right);
-        ("16 freqs", Tablefmt.Right);
-        ("8 freqs", Tablefmt.Right);
-        ("4 freqs", Tablefmt.Right);
-      ]
-  in
-  List.iter
-    (fun buses ->
-      let cells =
-        List.map
-          (fun _steps ->
-            let ok =
-              List.filter
-                (fun (o : Sweep.outcome) -> o.Sweep.error = None)
-                (next_group n_specs)
-            in
-            Tablefmt.cell_f (mean_ratio ok))
-          steps_list
-      in
-      Tablefmt.add_row t (string_of_int buses :: cells))
-    (sense_buses ());
-  Tablefmt.print t;
-  Printf.printf
-    "(paper: 16 freqs within 0.1%% of any; 8 freqs < 1%% worse; 4 freqs ~2%% worse)\n\n%!"
-
-(* ------------------------------------------------------------------ *)
-
-(* Figures 8 and 9 share their shape: a (buses x parameter-variant)
-   grid of whole-population sweeps, one mean ED2 ratio per grid
-   point. *)
-let param_sense_figure engine ~label ~header ~footer variants =
+(* Figures 7, 8 and 9 share their shape: a (buses x variant) grid of
+   whole-population sweeps, one mean ED2 ratio per grid point.  A
+   variant is a column label plus an optional frequency-grid step count
+   (Figure 7) and optional energy parameters (Figures 8 and 9). *)
+let sense_figure engine ~label ~header ~footer variants =
   Printf.printf "%s\n%!" header;
   let cells =
     List.concat_map
       (fun buses ->
         List.concat_map
-          (fun (_, params) ->
-            all_cells ?n_loops:(fig_loops ()) ~params ~buses ())
+          (fun (_, grid_steps, params) ->
+            all_cells ?n_loops:(fig_loops ()) ?grid_steps ?params ~buses ())
           variants)
       (sense_buses ())
   in
@@ -284,7 +235,7 @@ let param_sense_figure engine ~label ~header ~footer variants =
   let t =
     Tablefmt.create
       (("buses", Tablefmt.Right)
-      :: List.map (fun (label, _) -> (label, Tablefmt.Right)) variants)
+      :: List.map (fun (label, _, _) -> (label, Tablefmt.Right)) variants)
   in
   List.iter
     (fun buses ->
@@ -300,13 +251,26 @@ let param_sense_figure engine ~label ~header ~footer variants =
   Tablefmt.print t;
   Printf.printf "%s\n\n%!" footer
 
+let fig7 engine =
+  sense_figure engine ~label:"fig7"
+    ~header:"Figure 7: mean ED2 ratio vs number of supported frequencies"
+    ~footer:
+      "(paper: 16 freqs within 0.1% of any; 8 freqs < 1% worse; 4 freqs ~2% \
+       worse)"
+    [
+      ("any freq", None, None);
+      ("16 freqs", Some 16, None);
+      ("8 freqs", Some 8, None);
+      ("4 freqs", Some 4, None);
+    ]
+
 let fig8 engine =
-  param_sense_figure engine ~label:"fig8"
+  sense_figure engine ~label:"fig8"
     ~header:"Figure 8: mean ED2 ratio varying the ICN/cache energy shares"
     ~footer:"(paper: results vary only slightly across shares)"
     (List.map
        (fun (label, frac_icn, frac_cache) ->
-         (label, Params.make ~frac_icn ~frac_cache ()))
+         (label, None, Some (Params.make ~frac_icn ~frac_cache ())))
        [
          ("0.10/0.25", 0.10, 0.25);
          ("0.10/0.33", 0.10, 1.0 /. 3.0);
@@ -316,13 +280,13 @@ let fig8 engine =
        ])
 
 let fig9 engine =
-  param_sense_figure engine ~label:"fig9"
+  sense_figure engine ~label:"fig9"
     ~header:
       "Figure 9: mean ED2 ratio varying the leakage shares (cluster/ICN/cache)"
     ~footer:"(paper: changing leakage shares has little impact)"
     (List.map
        (fun (label, leak_cluster, leak_icn, leak_cache) ->
-         (label, Params.make ~leak_cluster ~leak_icn ~leak_cache ()))
+         (label, None, Some (Params.make ~leak_cluster ~leak_icn ~leak_cache ())))
        [
          ("0.25/0.05/0.60", 0.25, 0.05, 0.60);
          ("0.33/0.10/0.66", 1.0 /. 3.0, 0.10, 2.0 /. 3.0);
@@ -518,105 +482,46 @@ let ablation engine =
 
 (* ------------------------------------------------------------------ *)
 
-let micro () =
-  Printf.printf "Micro-benchmarks (Bechamel)\n%!";
-  let open Bechamel in
-  let machine = Presets.machine_4c ~buses:1 in
-  let spec = Option.get (Specfp.find "galgel") in
-  let loops = Specfp.loops ~n_loops:6 ~seed spec in
-  let loop = List.hd loops in
-  let profile = diag_ok (Profile.profile ~machine ~loops ()) in
-  let units =
-    Units.of_reference ~params:Params.default ~n_clusters:4
-      profile.Profile.activity
-  in
-  let ctx = Model.ctx ~params:Params.default ~units () in
-  let hetero = diag_ok (Select.select_heterogeneous ~ctx ~machine profile) in
-  let hetero_sched =
-    diag_ok
-      (Result.map fst
-         (Hsched.schedule ~ctx ~config:hetero.Select.config ~loop ()))
-  in
-  let tests =
-    [
-      Test.make ~name:"recurrence-analysis"
-        (Staged.stage (fun () ->
-             ignore (Recurrence.find_all loop.Loop.ddg)));
-      Test.make ~name:"homogeneous-schedule"
-        (Staged.stage (fun () ->
-             ignore
-               (Hcv_sched.Homo.schedule ~machine ~cycle_time:Q.one ~loop ())));
-      Test.make ~name:"heterogeneous-schedule"
-        (Staged.stage (fun () ->
-             ignore (Hsched.schedule ~ctx ~config:hetero.Select.config ~loop ())));
-      Test.make ~name:"config-selection"
-        (Staged.stage (fun () ->
-             ignore (Select.select_heterogeneous ~ctx ~machine profile)));
-      Test.make ~name:"simulate-100-iters"
-        (Staged.stage (fun () ->
-             ignore (Hcv_sim.Simulator.run ~schedule:hetero_sched ~trip:100 ())));
-    ]
-  in
-  let run_one test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false
-        ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-28s %12.0f ns/run\n%!" name est
-        | Some _ | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
-      results
-  in
-  List.iter (fun test -> run_one (Test.make_grouped ~name:"" [ test ])) tests;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
+(* Every experiment, in the order they print. *)
+let experiments =
+  [
+    ("table1", fun _ -> table1 ());
+    ("table2", fun _ -> table2 ());
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("ablation", ablation);
+  ]
 
 let usage () =
   prerr_endline
     "usage: main.exe [table1] [table2] [fig6] [fig7] [fig8] [fig9] [ablation]\n\
-    \                [micro] [perf] [partition-micro] [serve] [frontier]\n\
-    \                [families] [--quick] [--jobs N] [--cache DIR]\n\
-    \                [--resume] [--telemetry-csv FILE] [--perf-out FILE]\n\
-    \                [--perf-baseline FILE] [--perf-reps N] [--perf-gate R]\n\
-    \                [--serve-out FILE] [--frontier-out FILE]\n\
-    \                [--families-out FILE]";
+    \                [--quick] [--jobs N] [--cache DIR] [--resume]\n\
+    \                [--telemetry-csv FILE]";
   exit 2
+
+(* Cache recovery diagnostics (an unusable directory, quarantined
+   corrupt lines) go to stderr as the hcvliw CLI prints them; stdout
+   stays the deterministic tables. *)
+let cache_warn d = Printf.eprintf "warning: %s\n%!" (Hcv_obs.Diag.to_string d)
 
 let () =
   let jobs = ref 1 in
   let cache_dir = ref None in
   let resume = ref false in
   let csv = ref None in
-  let perf_out = ref "BENCH_3.json" in
-  let perf_baseline = ref "BENCH_2.json" in
-  let perf_reps = ref None in
-  let perf_gate = ref None in
-  let serve_out = ref "BENCH_serve.json" in
-  let frontier_out = ref "BENCH_frontier.json" in
-  let families_out = ref "BENCH_families.json" in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> n
-    | Some _ | None ->
-      Printf.eprintf "error: %s expects a positive integer, got %S\n" name v;
-      usage ()
-  in
   let rec parse selected = function
     | [] -> List.rev selected
     | "--quick" :: rest ->
       quick := true;
       parse selected rest
     | "--jobs" :: v :: rest ->
-      jobs := int_arg "--jobs" v;
+      (match int_of_string_opt v with
+      | Some n when n >= 1 -> jobs := n
+      | Some _ | None ->
+        Printf.eprintf "error: --jobs expects a positive integer, got %S\n" v;
+        usage ());
       parse selected rest
     | "--cache" :: dir :: rest ->
       cache_dir := Some dir;
@@ -627,48 +532,22 @@ let () =
     | "--telemetry-csv" :: file :: rest ->
       csv := Some file;
       parse selected rest
-    | "--perf-out" :: file :: rest ->
-      perf_out := file;
-      parse selected rest
-    | "--perf-baseline" :: file :: rest ->
-      perf_baseline := file;
-      parse selected rest
-    | "--perf-reps" :: v :: rest ->
-      perf_reps := Some (int_arg "--perf-reps" v);
-      parse selected rest
-    | "--perf-gate" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some g when g > 0.0 -> perf_gate := Some g
-      | Some _ | None ->
-        Printf.eprintf "error: --perf-gate expects a positive ratio, got %S\n"
-          v;
-        usage ());
-      parse selected rest
-    | "--serve-out" :: file :: rest ->
-      serve_out := file;
-      parse selected rest
-    | "--frontier-out" :: file :: rest ->
-      frontier_out := file;
-      parse selected rest
-    | "--families-out" :: file :: rest ->
-      families_out := file;
-      parse selected rest
-    | ( "--jobs" | "--cache" | "--telemetry-csv" | "--perf-out"
-      | "--perf-baseline" | "--perf-reps" | "--perf-gate" | "--serve-out"
-      | "--frontier-out" | "--families-out" )
-      :: [] ->
-      usage ()
+    | ("--jobs" | "--cache" | "--telemetry-csv") :: [] -> usage ()
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
       Printf.eprintf "error: unknown option %s\n" arg;
       usage ()
-    | name :: rest -> parse (name :: selected) rest
+    | name :: rest when List.mem_assoc name experiments ->
+      parse (name :: selected) rest
+    | name :: _ ->
+      Printf.eprintf "error: unknown experiment %s\n" name;
+      usage ()
   in
-  let args = parse [] (List.tl (Array.to_list Sys.argv)) in
+  let selected = parse [] (List.tl (Array.to_list Sys.argv)) in
   if !resume && !cache_dir = None then begin
     prerr_endline "error: --resume needs --cache DIR";
     usage ()
   end;
-  let cache = Option.map E.Cache.open_dir !cache_dir in
+  let cache = Option.map (E.Cache.open_dir ~warn:cache_warn) !cache_dir in
   (match (cache, !resume) with
   | Some c, true ->
     Printf.eprintf "resuming: %d completed cells on disk\n%!"
@@ -686,32 +565,7 @@ let () =
       | None -> ());
       E.Engine.shutdown engine)
     (fun () ->
-      let selected = if args = [] then [ "all" ] else args in
-      let want name = List.mem name selected || List.mem "all" selected in
-      if want "table1" then table1 ();
-      if want "table2" then table2 ();
-      if want "fig6" then fig6 engine;
-      if want "fig7" then fig7 engine;
-      if want "fig8" then fig8 engine;
-      if want "fig9" then fig9 engine;
-      if want "ablation" then ablation engine;
-      if want "micro" then micro ();
-      (* perf and serve run only when asked for by name: they are timing
-         harnesses, not part of the paper's tables/figures, so "all"
-         skips them. *)
-      if List.mem "serve" selected then
-        Serve_bench.run ~quick:!quick ~out:!serve_out ();
-      if List.mem "frontier" selected then
-        Frontier_bench.run ~quick:!quick ~out:!frontier_out ();
-      if List.mem "families" selected then
-        Families_bench.run ~quick:!quick ~out:!families_out ();
-      let reps =
-        match !perf_reps with
-        | Some n -> n
-        | None -> if !quick then 3 else 5
-      in
-      if List.mem "partition-micro" selected then
-        Perf.partition_micro ~quick:!quick ~reps ();
-      if List.mem "perf" selected then
-        Perf.run ~quick:!quick ~reps ~out:!perf_out ~baseline:!perf_baseline
-          ?gate:!perf_gate ())
+      List.iter
+        (fun (name, run) ->
+          if selected = [] || List.mem name selected then run engine)
+        experiments)

@@ -481,20 +481,19 @@ let explore_cmd =
             ]
         end;
         Tablefmt.print t;
+        (* Decode each choice against its own cell's machine, which
+           --machine may have made a family or a description file.
+           Failed cells carry no choice and print nothing. *)
         if show_config then
-          List.iter
-            (fun (o : Sweep.outcome) ->
-              let machine =
-                Sweep.machine_of_cell
-                  (Sweep.cell ~buses ?n_loops ~seed ?grid_steps:steps
-                     o.Sweep.bench)
-              in
+          List.iter2
+            (fun c (o : Sweep.outcome) ->
+              let machine = Sweep.machine_of_cell c in
               match Sweep.choice_of_string ~machine o.Sweep.hetero with
               | Some choice ->
                 Format.printf "@.%s:@.%a@." o.Sweep.bench Select.pp_choice
                   choice
               | None -> ())
-            ok;
+            cells outcomes;
         (match cache with
         | Some c ->
           let s = E.Cache.stats c in
@@ -2045,7 +2044,11 @@ let debug_cmd =
   let run bench machine =
     setup_logs ();
     let machine = resolve_machine ~buses:1 machine in
-    let spec = Option.get (Specfp.find bench) in
+    let spec =
+      match Specfp.find bench with
+      | Some spec -> spec
+      | None -> or_die (Error (Printf.sprintf "unknown benchmark %S" bench))
+    in
     let loops = Specfp.loops ~seed:42 spec in
     let r = diag_ok (Pipeline.run ~machine ~name:bench ~loops ()) in
     let pr_act label (a : Activity.t) =

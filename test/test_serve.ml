@@ -497,8 +497,17 @@ let test_dispatch_deterministic () =
       let serial = answer ~jobs:1 () in
       let parallel_cold = answer ~cache:dir ~jobs:2 () in
       let warm = answer ~cache:dir ~jobs:2 () in
+      (* A deadline that never binds only caps work far above what any
+         request needs, so it must not change a byte either. *)
+      let ample =
+        with_dispatch ~jobs:2 (fun d ->
+            List.map
+              (fun l -> S.Dispatch.handle_line d (S.Load.with_deadline 60_000 l))
+              lines)
+      in
       Alcotest.(check (list string)) "jobs-independent" serial parallel_cold;
       Alcotest.(check (list string)) "cache-state-independent" serial warm;
+      Alcotest.(check (list string)) "ample-deadline-independent" serial ample;
       (* s1 and s2 share content: identical result objects, own ids. *)
       let result_of id =
         List.find_map
