@@ -4,7 +4,7 @@
     conflicts modulo II, cross-clock-domain dependence latencies,
     transfer timing, register pressure) is otherwise implicit in the
     scheduler's own data structures: the modulo reservation tables
-    ([Mrt]), the timing memo ([Timing.Memo]) and the pseudo-schedule
+    ([Mrt]), the tick base ([Timing.Memo]) and the pseudo-schedule
     estimator caches ([Pseudo]).  This module re-derives all of those
     conditions from first principles — straight from the paper's §2/§4
     rules and the raw [Schedule.t]/[Clocking.t] records, using nothing

@@ -84,16 +84,13 @@ let preplace_recurrences ?(obs = Hcv_obs.Trace.null) ~config ~clocking ddg =
 (* Score a candidate partition by the ED2 its pseudo-schedule predicts
    (paper §4.1.2).  Unschedulable partitions keep the huge
    schedulability-first penalties so that any feasible partition wins. *)
-let ed2_score ?memo ?obs ~ctx ~config ~machine ~clocking ~loop assignment =
-  let est = Pseudo.estimate ?memo ?obs ~machine ~clocking ~loop ~assignment () in
+let ed2_score ~memo ?obs ~ctx ~config ~machine ~loop assignment =
+  let est = Pseudo.estimate ~memo ?obs ~machine ~loop ~assignment () in
   if not (Pseudo.feasible est) then 1e14 +. Pseudo.score est
-  else begin
-    let act =
-      Profile.activity_of_schedule est.Pseudo.schedule
-        ~trip:loop.Loop.trip
-    in
-    Model.ed2 ctx ~config act
-  end
+  else
+    Model.ed2 ctx ~config
+      (Profile.activity_of_schedule ~it_length:est.Pseudo.it_length
+         est.Pseudo.schedule ~trip:loop.Loop.trip)
 
 type score_mode = Ed2 | Schedulability
 
@@ -104,6 +101,11 @@ let slot_failure_slug = function
   | Slot_sched.Positive_cycle -> "positive_cycle"
   | Slot_sched.Register_pressure -> "register_pressure"
 
+(* Raised (notrace: it is control flow, not an error) by the budget
+   guard when a schedule call has spent its allotment of raw partition
+   scorings; caught once at the top of [schedule]. *)
+exception Budget_exhausted
+
 (* Memoise a partition-scoring function by the exact assignment.  The
    multilevel refinement proposes the same (or a just-reverted)
    assignment over and over — each hit skips a whole pseudo-schedule.
@@ -111,11 +113,6 @@ let slot_failure_slug = function
    can never alias and the memo is behaviour-preserving; the score is
    pure for a fixed clocking, which is why the table must not outlive
    the IT attempt it was built for. *)
-(* Raised (notrace: it is control flow, not an error) by the budget
-   guard when a schedule call has spent its allotment of raw partition
-   scorings; caught once at the top of [schedule]. *)
-exception Budget_exhausted
-
 let memoised_score score =
   let cache : (string, float) Hashtbl.t = Hashtbl.create 256 in
   fun (assignment : int array) ->
@@ -209,20 +206,21 @@ let schedule ?(obs = Hcv_obs.Trace.null) ~ctx ~config ~loop ?(max_tries = 64)
         bump ~sync:true ~cause:"clocking" ()
       | Ok clocking -> (
         match
-          (if preplace then preplace_recurrences ~obs ~config ~clocking ddg
-           else Ok [])
+          ( Timing.Memo.create clocking,
+            if preplace then preplace_recurrences ~obs ~config ~clocking ddg
+            else Ok [] )
         with
-        | Error _ -> bump ~sync:false ~cause:"preplace" ()
-        | Ok fixed -> (
-          let memo = Timing.Memo.create clocking in
+        | Error d, _ ->
+          Error (Hcv_obs.Diag.add_context [ ("loop", loop.Loop.name) ] d)
+        | Ok _, Error _ -> bump ~sync:false ~cause:"preplace" ()
+        | Ok memo, Ok fixed -> (
           let score =
             match score_mode with
-            | Ed2 -> ed2_score ~memo ~obs ~ctx ~config ~machine ~clocking ~loop
+            | Ed2 -> ed2_score ~memo ~obs ~ctx ~config ~machine ~loop
             | Schedulability ->
               fun assignment ->
                 Pseudo.score
-                  (Pseudo.estimate ~memo ~obs ~machine ~clocking ~loop
-                     ~assignment ())
+                  (Pseudo.estimate ~memo ~obs ~machine ~loop ~assignment ())
           in
           (* The budget guard wraps the *raw* score, beneath the memo:
              only fresh pseudo-schedule evaluations spend budget, memo
@@ -264,7 +262,7 @@ let schedule ?(obs = Hcv_obs.Trace.null) ~ctx ~config ~loop ?(max_tries = 64)
             else part_a
           in
           match
-            Slot_sched.run ~machine ~clocking ~loop
+            Slot_sched.run ~memo ~machine ~loop
               ~assignment:part.Partition.assignment ()
           with
           | Ok sched ->

@@ -68,7 +68,9 @@ val schedule :
     path like any other scheduling failure.
 
     Errors with [unschedulable] (context: loop, MIT, [max_tries] and the
-    last failure cause) when the IT budget is exhausted.  [?obs] counts
+    last failure cause) when the IT budget is exhausted, and with
+    {!Hcv_sched.Timing.Memo.create}'s [tick-range] (plus the loop) when
+    an attempt's clocking does not fit the integer time base.  [?obs] counts
     per-phase events: ["hsched.attempts"], ["hsched.clock_rejects"],
     ["hsched.slot.<cause>"] per slot-scheduler failure,
     ["hsched.budget_exhausted"], plus the {!Hcv_sched.Partition},

@@ -21,23 +21,24 @@ let schedule ~machine ~cycle_time ~loop ?(max_tries = 64) ?(seed = 0) () =
       Error
         (Printf.sprintf "no schedule for %s within %d IIs above MII=%d"
            loop.Loop.name max_tries mii)
-    else begin
+    else
       let clocking = Clocking.homogeneous ~n_clusters ~ii ~cycle_time in
-      let assignment =
-        if n_clusters = 1 then Array.make (Ddg.n_instrs ddg) 0
-        else begin
-          let score a =
-            Pseudo.score
-              (Pseudo.estimate ~machine ~clocking ~loop ~assignment:a ())
-          in
-          let hier = Option.get hier in
-          (Partition.run_hier ~n_clusters ~hier ~seed ?eligible ~score ())
-            .Partition.assignment
-        end
-      in
-      match Slot_sched.run ~machine ~clocking ~loop ~assignment () with
-      | Ok sched -> Ok (sched, { ii; tries; mii })
-      | Error _ -> attempt (ii + 1) (tries + 1)
-    end
+      match Timing.Memo.create clocking with
+      | Error d -> Error (loop.Loop.name ^ ": " ^ Hcv_obs.Diag.to_string d)
+      | Ok memo -> (
+        let assignment =
+          if n_clusters = 1 then Array.make (Ddg.n_instrs ddg) 0
+          else begin
+            let score assignment =
+              Pseudo.score (Pseudo.estimate ~memo ~machine ~loop ~assignment ())
+            in
+            let hier = Option.get hier in
+            (Partition.run_hier ~n_clusters ~hier ~seed ?eligible ~score ())
+              .Partition.assignment
+          end
+        in
+        match Slot_sched.run ~memo ~machine ~loop ~assignment () with
+        | Ok sched -> Ok (sched, { ii; tries; mii })
+        | Error _ -> attempt (ii + 1) (tries + 1))
   in
   attempt (max mii 1) 1

@@ -18,4 +18,6 @@ val schedule :
   machine:Machine.t -> cycle_time:Q.t -> loop:Loop.t -> ?max_tries:int
   -> ?seed:int -> unit -> (Schedule.t * stats, string) result
 (** Schedule [loop] on [machine] with every domain at [cycle_time].
-    [max_tries] (default 64) bounds the IIs attempted above the MII. *)
+    [max_tries] (default 64) bounds the IIs attempted above the MII.
+    A clocking outside {!Timing.Memo}'s integer time base is an error
+    naming [tick-range]. *)

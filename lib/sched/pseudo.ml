@@ -15,48 +15,34 @@ let feasible t = t.overflow = 0 && t.back_violations = 0 && t.regs_ok
 
 exception False
 
-let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
-    ~assignment () =
+let estimate ~memo ?(obs = Hcv_obs.Trace.null) ~machine ~loop ~assignment () =
+  let clocking = Timing.Memo.clocking memo in
   let ddg = loop.Loop.ddg in
   let n = Ddg.n_instrs ddg in
   (* Invariant: callers build the assignment from this DDG (caller bug,
      not an input condition). *)
   if Array.length assignment <> n then
     invalid_arg "Pseudo.estimate: assignment arity mismatch";
-  let it = clocking.Clocking.it in
-  let memo =
-    match memo with Some m -> m | None -> Timing.Memo.create clocking
-  in
+  (* Every time below is in the memo's integer ticks. *)
+  let it = Timing.Memo.it memo in
   let buslat = machine.Machine.icn.Icn.latency_cycles in
   let mrt = Mrt.create machine clocking in
   let cyc = Array.make n 0 in
   let placed = Array.make n false in
   let overflow = ref 0 in
-  (* it * d for every distance in the DDG, computed once. *)
-  let it_d =
-    let maxd =
-      Array.fold_left
-        (fun acc (e : Edge.t) -> max acc e.distance)
-        0 (Ddg.edge_array ddg)
-    in
-    Array.init (maxd + 1) (fun d -> Q.mul_int it d)
-  in
-  (* One transfer per (producer, destination cluster); moving a transfer
-     earlier is always safe for already-served consumers. *)
   let n_clusters = Machine.n_clusters machine in
   (* One transfer per (producer, destination cluster), in dense arrays
      keyed by [src * n_clusters + dst].  [tr_arrival] caches the
      arrival time of the reserved slot: the serve fast path is then a
      single comparison ([arrival <= need] iff [slot <= latest]). *)
   let tr_slot = Array.make (n * n_clusters) (-1) in
-  let tr_arrival = Array.make (n * n_clusters) Q.zero in
+  let tr_arrival = Array.make (n * n_clusters) 0 in
   let tr_keys = ref [] in
   (* Start, value-definition time and earliest bus cycle of every placed
      instruction, filled in when its cycle is committed: each is read
-     once per incident edge per candidate cycle, so recomputing the Q
-     products every time dominated the estimator. *)
-  let starts = Array.make n Q.zero in
-  let defs = Array.make n Q.zero in
+     once per incident edge per candidate cycle. *)
+  let starts = Array.make n 0 in
+  let defs = Array.make n 0 in
   let ebus = Array.make n 0 in
   (* Per-source resume cache for failed bus searches.  A search for
      src's value always starts at the fixed cycle [ebus.(src)], and bus
@@ -65,25 +51,25 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
      same prefix can skip it — O(total window width) scanning per
      source instead of O(candidates x width).  Any bus release bumps
      [bus_epoch], conservatively invalidating every cache.
-     [full_bound] is [icn_ct * (full_upto + 1 + buslat)]: [latest <=
-     full_upto] iff [need < full_bound], so the known-full reject is a
-     single comparison with no division. *)
+     [full_bound] is the arrival of a departure at [full_upto + 1]:
+     [latest <= full_upto] iff [need < full_bound], so the known-full
+     reject is a single comparison with no division. *)
   let bus_epoch = ref 0 in
   let scan_epoch = Array.make n (-1) in
   let full_upto = Array.make n min_int in
-  let full_bound = Array.make n Q.zero in
-  let icn_ct = clocking.Clocking.icn_ct in
+  let full_bound = Array.make n 0 in
   let set_full_upto src upto =
     scan_epoch.(src) <- !bus_epoch;
     full_upto.(src) <- upto;
-    full_bound.(src) <- Q.mul_int icn_ct (upto + 1 + buslat)
+    full_bound.(src) <-
+      Timing.Memo.bus_arrival memo ~buslat ~bus_cycle:(upto + 1)
   in
   let def_of_edge (e : Edge.t) =
     (* Source definition time under the edge's latency. *)
-    Q.add starts.(e.src)
-      (Timing.Memo.lat_offset memo ~cluster:assignment.(e.src)
-         (Instr.fu (Ddg.instr ddg e.src))
-         e.latency)
+    starts.(e.src)
+    + Timing.Memo.lat_offset memo ~cluster:assignment.(e.src)
+        (Instr.fu (Ddg.instr ddg e.src))
+        e.latency
   in
   (* Plan (without committing) a bus slot in [earliest, latest]; prefer
      the earliest free cycle. *)
@@ -102,23 +88,23 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
   let serve_transfer ~src ~dst_cluster ~need =
     let key = (src * n_clusters) + dst_cluster in
     let b = tr_slot.(key) in
-    if b >= 0 && Q.( <= ) tr_arrival.(key) need then true
+    if b >= 0 && tr_arrival.(key) <= need then true
     else if Mrt.bus_slots_free mrt = 0 then begin
       (* Every modulo slot is full, so the window scan below cannot
          succeed whatever the window is. *)
       if b < 0 then serve_blocked := true;
       false
     end
-    else if scan_epoch.(src) = !bus_epoch && Q.( < ) need full_bound.(src)
+    else if scan_epoch.(src) = !bus_epoch && need < full_bound.(src)
     then false (* the whole [ebus.(src), latest] window is known full *)
     else begin
       (* No transfer yet, or the existing one arrives too late for this
          consumer; find a slot that delivers in time (moving a transfer
          earlier is always safe for already-served consumers). *)
-      let latest = Timing.latest_bus_cycle clocking ~buslat ~need in
+      let latest = Timing.Memo.latest_bus_cycle memo ~buslat ~need in
       let from =
         if scan_epoch.(src) = !bus_epoch then
-          max ebus.(src) (full_upto.(src) + 1)
+          Int.max ebus.(src) (full_upto.(src) + 1)
         else ebus.(src)
       in
       match find_bus ~earliest:from ~latest with
@@ -131,7 +117,7 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
         else tr_keys := (src, dst_cluster) :: !tr_keys;
         Mrt.bus_reserve mrt ~cycle:b';
         tr_slot.(key) <- b';
-        tr_arrival.(key) <- Timing.bus_arrival clocking ~buslat ~bus_cycle:b';
+        tr_arrival.(key) <- Timing.Memo.bus_arrival memo ~buslat ~bus_cycle:b';
         true
       | None ->
         set_full_upto src latest;
@@ -151,31 +137,24 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
             if not placed.(e.src) then acc
             else begin
               let r =
-                if assignment.(e.src) = c then
-                  Timing.dep_ready_same clocking ~it
-                    ~def_time:(def_of_edge e) ~distance:e.distance
+                if assignment.(e.src) = c then def_of_edge e
                 else if Edge.carries_value e then
                   (* Earliest conceivable arrival through the bus. *)
                   let bus_cycle =
                     if e.latency = Instr.latency (Ddg.instr ddg e.src) then
                       ebus.(e.src)
                     else
-                      Timing.earliest_bus_cycle clocking
+                      Timing.Memo.earliest_bus_cycle memo
                         ~def_time:(def_of_edge e)
                   in
-                  Q.sub
-                    (Timing.bus_arrival clocking ~buslat ~bus_cycle)
-                    it_d.(e.distance)
-                else
-                  Q.sub
-                    (Q.add (def_of_edge e) (Timing.sync_penalty clocking))
-                    it_d.(e.distance)
+                  Timing.Memo.bus_arrival memo ~buslat ~bus_cycle
+                else def_of_edge e + Timing.Memo.icn_ct memo
               in
-              Q.max acc r
+              Int.max acc (r - (it * e.distance))
             end)
-          Q.zero
+          0
       in
-      let e0 = Timing.earliest_cycle clocking ~cluster:c ~ready in
+      let e0 = Timing.Memo.earliest_cycle memo ~cluster:c ~ready in
       let try_cycle k =
         serve_blocked := false;
         if not (Mrt.fu_available mrt ~cluster:c ~kind ~cycle:k) then false
@@ -192,7 +171,7 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
                     || assignment.(e.src) = c
                     || (not (Edge.carries_value e))
                     ||
-                    let need = Q.add start_i it_d.(e.distance) in
+                    let need = start_i + (it * e.distance) in
                     serve_transfer ~src:e.src ~dst_cluster:c ~need
                   in
                   if not served then raise_notrace False)
@@ -226,8 +205,8 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
         overbook ()
       else place e0 (max ii 1);
       starts.(i) <- Timing.Memo.start_time memo ~cluster:c ~cycle:cyc.(i);
-      defs.(i) <- Q.add starts.(i) (Timing.Memo.def_offset memo ~cluster:c ins);
-      ebus.(i) <- Timing.earliest_bus_cycle clocking ~def_time:defs.(i);
+      defs.(i) <- starts.(i) + Timing.Memo.def_offset memo ~cluster:c ins;
+      ebus.(i) <- Timing.Memo.earliest_bus_cycle memo ~def_time:defs.(i);
       placed.(i) <- true)
     (Ddg.topo_order ddg);
   (* Loop-carried dependences: check, and reserve buses for the value
@@ -236,17 +215,16 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
   Array.iter
     (fun (e : Edge.t) ->
       if e.distance > 0 then begin
-        let lhs = Q.add starts.(e.dst) it_d.(e.distance) in
+        let lhs = starts.(e.dst) + (it * e.distance) in
         let def = def_of_edge e in
         if assignment.(e.src) = assignment.(e.dst) then begin
-          if Q.( < ) lhs def then incr back_violations
+          if lhs < def then incr back_violations
         end
         else if Edge.carries_value e then begin
           if not (serve_transfer ~src:e.src ~dst_cluster:assignment.(e.dst) ~need:lhs)
           then incr back_violations
         end
-        else if Q.( < ) lhs (Q.add def (Timing.sync_penalty clocking)) then
-          incr back_violations
+        else if lhs < def + Timing.Memo.icn_ct memo then incr back_violations
       end)
     (Ddg.edge_array ddg);
   let placements =
@@ -268,23 +246,20 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
     Schedule.make ~loop ~machine ~clocking ~placements ~transfers:transfer_list
   in
   (* Score ingredients, from the arrays the placement pass already
-     filled: [defs.(i)] is exactly [Schedule.def_time] (the memo's
-     def_offset is the same product) and [tr_arrival] caches every
-     transfer's arrival, so the iteration length and the per-cluster
-     lifetime sums need no re-derivation from the placements — the
-     estimator is scored once per call on the partitioner's hot path. *)
+     filled ([defs.(i)] is [Schedule.def_time] in ticks, [tr_arrival]
+     every transfer's arrival): no re-derivation from the placements. *)
   let n_comms = List.length !tr_keys in
   let it_length =
-    let len = ref Q.zero in
-    Array.iter (fun d -> len := Q.max !len d) defs;
+    let len = ref 0 in
+    Array.iter (fun d -> len := Int.max !len d) defs;
     List.iter
       (fun (src, dst_cluster) ->
-        len := Q.max !len tr_arrival.((src * n_clusters) + dst_cluster))
+        len := Int.max !len tr_arrival.((src * n_clusters) + dst_cluster))
       !tr_keys;
-    !len
+    Timing.Memo.to_ns memo !len
   in
   let regs_ok =
-    let spans = Array.make n_clusters Q.zero in
+    let spans = Array.make n_clusters 0 in
     (* Latest bus send per producer: max cycle <=> max send time. *)
     let tr_last = Array.make (max n 1) min_int in
     List.iter
@@ -300,13 +275,13 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
           (Ddg.fold_succs ddg i
              (fun death (e : Edge.t) ->
                if Edge.carries_value e && assignment.(e.dst) = c then
-                 Q.max death (Q.add starts.(e.dst) it_d.(e.distance))
+                 Int.max death (starts.(e.dst) + (it * e.distance))
                else death)
              birth)
       in
       if tr_last.(i) > min_int then
-        death := Q.max !death (Q.mul_int icn_ct tr_last.(i));
-      spans.(c) <- Q.add spans.(c) (Q.sub !death birth)
+        death := Int.max !death (Timing.Memo.icn_ct memo * tr_last.(i));
+      spans.(c) <- spans.(c) + (!death - birth)
     done;
     (* Destination-side spans: bus arrival to last read there. *)
     List.iter
@@ -316,17 +291,16 @@ let estimate ?memo ?(obs = Hcv_obs.Trace.null) ~machine ~clocking ~loop
           Ddg.fold_succs ddg src
             (fun death (e : Edge.t) ->
               if Edge.carries_value e && assignment.(e.dst) = dst_cluster then
-                Q.max death (Q.add starts.(e.dst) it_d.(e.distance))
+                Int.max death (starts.(e.dst) + (it * e.distance))
               else death)
             birth
         in
-        spans.(dst_cluster) <- Q.add spans.(dst_cluster) (Q.sub death birth))
+        spans.(dst_cluster) <- spans.(dst_cluster) + (death - birth))
       !tr_keys;
     let ok = ref true in
     Array.iteri
       (fun ci (cl : Cluster.t) ->
-        if not (Q.( <= ) spans.(ci) (Q.mul_int it cl.Cluster.registers)) then
-          ok := false)
+        if spans.(ci) > it * cl.Cluster.registers then ok := false)
       machine.Machine.clusters;
     !ok
   in

@@ -29,11 +29,12 @@ val feasible : t -> bool
 (** No overflow, no violated back edge, registers fit. *)
 
 val estimate :
-  ?memo:Timing.Memo.t -> ?obs:Hcv_obs.Trace.span -> machine:Machine.t
-  -> clocking:Clocking.t -> loop:Loop.t -> assignment:int array -> unit -> t
+  memo:Timing.Memo.t -> ?obs:Hcv_obs.Trace.span -> machine:Machine.t
+  -> loop:Loop.t -> assignment:int array -> unit -> t
 (** Greedily place every instruction on its assigned cluster in
     topological order (earliest dependence-ready cycle, scanning one II
-    window, reserving buses for cross-cluster values).
+    window, reserving buses for cross-cluster values), at the memo's
+    clocking and in its integer ticks.
 
     [?obs] (default {!Hcv_obs.Trace.null}, which costs nothing on this
     hot path) counts every evaluation (["pseudo.evals"]) and the

@@ -1,4 +1,3 @@
-open Hcv_support
 open Hcv_ir
 open Hcv_machine
 
@@ -28,13 +27,12 @@ let forall_succs ddg i f =
   | exception False -> false
 
 (* Longest time-path from each node to any node (its "height"): the
-   classical scheduling priority, here over rational time.  Returns
+   classical scheduling priority, here over time in ticks.  Returns
    None when a positive cycle exists (the IT is below what the
    partitioned recurrences need).  Edge weights (source latency at its
    cluster's effective cycle time minus the iterations the dependence
    spans) are precomputed once; the relaxation rounds then only add. *)
 let heights memo ddg assignment =
-  let clocking = Timing.Memo.clocking memo in
   let n = Ddg.n_instrs ddg in
   let h =
     Array.init n (fun i ->
@@ -44,11 +42,10 @@ let heights memo ddg assignment =
   let weights =
     Array.map
       (fun (e : Edge.t) ->
-        Q.sub
-          (Timing.Memo.lat_offset memo ~cluster:assignment.(e.src)
-             (Instr.fu (Ddg.instr ddg e.src))
-             e.latency)
-          (Q.mul_int clocking.Clocking.it e.distance))
+        Timing.Memo.lat_offset memo ~cluster:assignment.(e.src)
+          (Instr.fu (Ddg.instr ddg e.src))
+          e.latency
+        - (Timing.Memo.it memo * e.distance))
       edge_arr
   in
   let changed = ref true in
@@ -58,8 +55,8 @@ let heights memo ddg assignment =
     incr rounds;
     Array.iteri
       (fun k (e : Edge.t) ->
-        let cand = Q.add weights.(k) h.(e.dst) in
-        if Q.( > ) cand h.(e.src) then begin
+        let cand = weights.(k) + h.(e.dst) in
+        if cand > h.(e.src) then begin
           h.(e.src) <- cand;
           changed := true
         end)
@@ -74,7 +71,6 @@ type transfer_state = {
 
 type state = {
   machine : Machine.t;
-  clocking : Clocking.t;
   memo : Timing.Memo.t;
   loop : Loop.t;
   assignment : int array;
@@ -83,31 +79,31 @@ type state = {
   placed : bool array;
   cyc : int array;
   last_forced : int array;
-  it_d : Q.t array;  (* it * distance, for the distances in the DDG *)
   transfers : (int * int, transfer_state) Hashtbl.t;
       (* (producer, destination cluster) -> bus slot *)
 }
 
 let ddg st = st.loop.Loop.ddg
-let it st = st.clocking.Clocking.it
 let instr st i = Ddg.instr (ddg st) i
 
-let it_mul st d =
-  if d < Array.length st.it_d then st.it_d.(d) else Q.mul_int (it st) d
+(* Times are in the memo's integer ticks. *)
+let it_mul st d = Timing.Memo.it st.memo * d
 
 let start_of st i =
   Timing.Memo.start_time st.memo ~cluster:st.assignment.(i) ~cycle:st.cyc.(i)
 
 (* Definition time of [src] under edge latency [lat]. *)
 let def_of st src lat =
-  Q.add (start_of st src)
-    (Timing.Memo.lat_offset st.memo ~cluster:st.assignment.(src)
-       (Instr.fu (instr st src))
-       lat)
+  start_of st src
+  + Timing.Memo.lat_offset st.memo ~cluster:st.assignment.(src)
+      (Instr.fu (instr st src))
+      lat
 
 let value_def st src =
-  Q.add (start_of st src)
-    (Timing.Memo.def_offset st.memo ~cluster:st.assignment.(src) (instr st src))
+  start_of st src
+  + Timing.Memo.def_offset st.memo ~cluster:st.assignment.(src) (instr st src)
+
+let sync_penalty st = Timing.Memo.icn_ct st.memo
 
 (* ----- transfer management ------------------------------------- *)
 
@@ -119,9 +115,9 @@ let find_bus st ~earliest ~latest = Mrt.bus_first_free st.mrt ~earliest ~latest
 let serve_transfer st ~undo ~src ~dst_cluster ~need =
   let key = (src, dst_cluster) in
   let earliest =
-    Timing.earliest_bus_cycle st.clocking ~def_time:(value_def st src)
+    Timing.Memo.earliest_bus_cycle st.memo ~def_time:(value_def st src)
   in
-  let latest = Timing.latest_bus_cycle st.clocking ~buslat:st.buslat ~need in
+  let latest = Timing.Memo.latest_bus_cycle st.memo ~buslat:st.buslat ~need in
   match Hashtbl.find_opt st.transfers key with
   | Some ts when ts.bus_cycle <= latest && ts.bus_cycle >= earliest ->
     ts.users <- ts.users + 1;
@@ -211,24 +207,17 @@ let ready_time st i =
       else begin
         let def = def_of st e.src e.latency in
         let r =
-          if st.assignment.(e.src) = c then
-            Timing.dep_ready_same st.clocking ~it:(it st) ~def_time:def
-              ~distance:e.distance
+          if st.assignment.(e.src) = c then def
           else if Edge.carries_value e then
-            Q.sub
-              (Timing.bus_arrival st.clocking ~buslat:st.buslat
-                 ~bus_cycle:
-                   (Timing.earliest_bus_cycle st.clocking
-                      ~def_time:(value_def st e.src)))
-              (it_mul st e.distance)
-          else
-            Q.sub
-              (Q.add def (Timing.sync_penalty st.clocking))
-              (it_mul st e.distance)
+            Timing.Memo.bus_arrival st.memo ~buslat:st.buslat
+              ~bus_cycle:
+                (Timing.Memo.earliest_bus_cycle st.memo
+                   ~def_time:(value_def st e.src))
+          else def + sync_penalty st
         in
-        Q.max acc r
+        Int.max acc (r - it_mul st e.distance)
       end)
-    Q.zero
+    0
 
 (* Try to place [i] at cycle [k]; commits on success, rolls back on
    failure.  [check_succs] distinguishes the normal path (all placed
@@ -252,12 +241,12 @@ let try_place st i k =
       forall_preds (ddg st) i (fun (e : Edge.t) ->
           if not st.placed.(e.src) || e.src = i then true
           else begin
-            let lhs = Q.add (start_of st i) (it_mul st e.distance) in
+            let lhs = start_of st i + it_mul st e.distance in
             let def = def_of st e.src e.latency in
-            if st.assignment.(e.src) = c then Q.( >= ) lhs def
+            if st.assignment.(e.src) = c then lhs >= def
             else if Edge.carries_value e then
               serve_transfer st ~undo ~src:e.src ~dst_cluster:c ~need:lhs
-            else Q.( >= ) lhs (Q.add def (Timing.sync_penalty st.clocking))
+            else lhs >= def + sync_penalty st
           end)
     in
     let ok_succs =
@@ -265,13 +254,13 @@ let try_place st i k =
       && forall_succs (ddg st) i (fun (e : Edge.t) ->
              if not st.placed.(e.dst) || e.dst = i then true
              else begin
-               let lhs = Q.add (start_of st e.dst) (it_mul st e.distance) in
+               let lhs = start_of st e.dst + it_mul st e.distance in
                let def = def_of st i e.latency in
-               if st.assignment.(e.dst) = c then Q.( >= ) lhs def
+               if st.assignment.(e.dst) = c then lhs >= def
                else if Edge.carries_value e then
                  serve_transfer st ~undo ~src:i
                    ~dst_cluster:st.assignment.(e.dst) ~need:lhs
-               else Q.( >= ) lhs (Q.add def (Timing.sync_penalty st.clocking))
+               else lhs >= def + sync_penalty st
              end)
     in
     (* Self edges (i -> i): pure IT feasibility, checked in both lists
@@ -281,9 +270,7 @@ let try_place st i k =
       ok_succs
       && forall_succs (ddg st) i (fun (e : Edge.t) ->
              e.dst <> i
-             || Q.( >= )
-                  (Q.add (start_of st i) (it_mul st e.distance))
-                  (def_of st i e.latency))
+             || start_of st i + it_mul st e.distance >= def_of st i e.latency)
     in
     if ok_self then begin
       Mrt.fu_reserve st.mrt ~cluster:c ~kind ~cycle:k;
@@ -308,7 +295,7 @@ let force_place st i k =
     end
   in
   (* Resource conflicts: occupants of the same modulo slot. *)
-  let ii = st.clocking.Clocking.cluster_ii.(c) in
+  let ii = (Timing.Memo.clocking st.memo).Clocking.cluster_ii.(c) in
   while not (Mrt.fu_available st.mrt ~cluster:c ~kind ~cycle:k) do
     (* Find a placed occupant of this (cluster, kind, slot). *)
     let slot = k mod ii in
@@ -337,15 +324,15 @@ let force_place st i k =
      breaks (or whose transfer cannot be scheduled). *)
   let check_edge (e : Edge.t) =
     if st.placed.(e.src) && st.placed.(e.dst) then begin
-      let lhs = Q.add (start_of st e.dst) (it_mul st e.distance) in
+      let lhs = start_of st e.dst + it_mul st e.distance in
       let def = def_of st e.src e.latency in
       let other = if e.src = i then e.dst else e.src in
       if e.src = e.dst then begin
-        if Q.( < ) lhs def then (* self recurrence broken: unfixable here *)
+        if lhs < def then (* self recurrence broken: unfixable here *)
           ()
       end
       else if st.assignment.(e.src) = st.assignment.(e.dst) then begin
-        if Q.( < ) lhs def then evict other
+        if lhs < def then evict other
       end
       else if Edge.carries_value e then begin
         let undo = ref [] in
@@ -355,8 +342,7 @@ let force_place st i k =
                ~dst_cluster:st.assignment.(e.dst) ~need:lhs)
         then evict other
       end
-      else if Q.( < ) lhs (Q.add def (Timing.sync_penalty st.clocking)) then
-        evict other
+      else if lhs < def + sync_penalty st then evict other
     end
   in
   Ddg.iter_preds (ddg st) i check_edge;
@@ -377,31 +363,31 @@ let rebuild_transfers st =
     st.transfers;
   Hashtbl.reset st.transfers;
   (* Collect the tightest deadline per (src, dst cluster). *)
-  let needs : (int * int, Q.t) Hashtbl.t = Hashtbl.create 16 in
+  let needs : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
     (fun (e : Edge.t) ->
       if Edge.carries_value e && st.assignment.(e.src) <> st.assignment.(e.dst)
       then begin
         let key = (e.src, st.assignment.(e.dst)) in
-        let lhs = Q.add (start_of st e.dst) (it_mul st e.distance) in
+        let lhs = start_of st e.dst + it_mul st e.distance in
         match Hashtbl.find_opt needs key with
-        | Some prev when Q.( <= ) prev lhs -> ()
+        | Some prev when prev <= lhs -> ()
         | Some _ | None -> Hashtbl.replace needs key lhs
       end)
     (Ddg.edge_array (ddg st));
   let ordered =
     Hashtbl.fold (fun key need acc -> (need, key) :: acc) needs []
     |> List.sort (fun (a, ka) (b, kb) ->
-           match Q.compare a b with 0 -> Stdlib.compare ka kb | c -> c)
+           match Int.compare a b with 0 -> Stdlib.compare ka kb | c -> c)
   in
   let ok =
     List.for_all
       (fun (need, ((src, _dst_cluster) as key)) ->
         let earliest =
-          Timing.earliest_bus_cycle st.clocking ~def_time:(value_def st src)
+          Timing.Memo.earliest_bus_cycle st.memo ~def_time:(value_def st src)
         in
         let latest =
-          Timing.latest_bus_cycle st.clocking ~buslat:st.buslat ~need
+          Timing.Memo.latest_bus_cycle st.memo ~buslat:st.buslat ~need
         in
         match find_bus st ~earliest ~latest with
         | Some b ->
@@ -413,28 +399,18 @@ let rebuild_transfers st =
   in
   if ok then Ok () else Error ()
 
-(* it * d for every distance in the DDG, precomputed. *)
-let it_table clocking ddg =
-  let maxd =
-    Array.fold_left
-      (fun acc (e : Edge.t) -> max acc e.distance)
-      0 (Ddg.edge_array ddg)
-  in
-  Array.init (maxd + 1) (fun d -> Q.mul_int clocking.Clocking.it d)
-
-let run ~machine ~clocking ~loop ~assignment ?(budget_factor = 16) () =
+let run ~memo ~machine ~loop ~assignment ?(budget_factor = 16) () =
   let ddg_ = loop.Loop.ddg in
   let n = Ddg.n_instrs ddg_ in
   if Array.length assignment <> n then
     invalid_arg "Slot_sched.run: assignment arity mismatch";
-  let memo = Timing.Memo.create clocking in
+  let clocking = Timing.Memo.clocking memo in
   match heights memo ddg_ assignment with
   | None -> Error Positive_cycle
   | Some h ->
     let st =
       {
         machine;
-        clocking;
         memo;
         loop;
         assignment;
@@ -443,7 +419,6 @@ let run ~machine ~clocking ~loop ~assignment ?(budget_factor = 16) () =
         placed = Array.make n false;
         cyc = Array.make n 0;
         last_forced = Array.make n (-1);
-        it_d = it_table clocking ddg_;
         transfers = Hashtbl.create 16;
       }
     in
@@ -452,7 +427,7 @@ let run ~machine ~clocking ~loop ~assignment ?(budget_factor = 16) () =
       let best = ref (-1) in
       for i = n - 1 downto 0 do
         if not st.placed.(i) then
-          if !best = -1 || Q.( > ) h.(i) h.(!best) then best := i
+          if !best = -1 || h.(i) > h.(!best) then best := i
       done;
       !best
     in
@@ -463,9 +438,9 @@ let run ~machine ~clocking ~loop ~assignment ?(budget_factor = 16) () =
       else begin
         decr budget;
         let c = st.assignment.(i) in
-        let ii = st.clocking.Clocking.cluster_ii.(c) in
+        let ii = clocking.Clocking.cluster_ii.(c) in
         let e0 =
-          Timing.earliest_cycle st.clocking ~cluster:c ~ready:(ready_time st i)
+          Timing.Memo.earliest_cycle st.memo ~cluster:c ~ready:(ready_time st i)
         in
         let rec try_k k remaining =
           if remaining = 0 then false

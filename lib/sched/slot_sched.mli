@@ -23,9 +23,10 @@ type failure =
 val failure_to_string : failure -> string
 
 val run :
-  machine:Machine.t -> clocking:Clocking.t -> loop:Loop.t
+  memo:Timing.Memo.t -> machine:Machine.t -> loop:Loop.t
   -> assignment:int array -> ?budget_factor:int -> unit
   -> (Schedule.t, failure) result
-(** [budget_factor] (default 16) bounds total placement attempts at
+(** Schedule at the memo's clocking, in its integer ticks.
+    [budget_factor] (default 16) bounds total placement attempts at
     [budget_factor * n_instrs].  A returned schedule always passes
     {!Schedule.validate}. *)

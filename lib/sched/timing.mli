@@ -1,8 +1,11 @@
 (** The timing rules shared by the scheduler, the schedule validator and
     the cycle simulator.
 
-    All times are exact rationals in ns, measured from the start of the
-    kernel's iteration 0.
+    Times are measured from the start of the kernel's iteration 0.  The
+    functions below state the rules in exact rational ns: the schedule
+    validator, the simulator and the legality checker work in them.  The
+    schedulers' hot paths work in {!Memo}'s integer ticks of one
+    clocking instead, which give the same answers exactly.
 
     Rules:
     - an instruction issued at cycle [k] of cluster [c] starts at
@@ -43,32 +46,50 @@ val earliest_cycle : Clocking.t -> cluster:int -> ready:Q.t -> int
 (** First issue cycle of the cluster starting at or after [ready]
     (never negative). *)
 
-val dep_ready_same : Clocking.t -> it:Q.t -> def_time:Q.t -> distance:int -> Q.t
-(** Earliest start time of the consumer of a same-cluster dependence:
-    [def_time - distance * it]. *)
-
 val sync_penalty : Clocking.t -> Q.t
 (** One ICN cycle, the cost of crossing clock domains without a bus. *)
 
-(** Precomputed timing quantities for one fixed clocking.  [eff_ct] and
-    the [eff_ct * latency] definition offsets are tabulated per
-    (cluster, fu kind, latency) at creation, so the schedulers' per-edge
-    queries cost an array read instead of a Q multiplication. *)
+(** The integer time base of one fixed clocking, built once per IT
+    attempt.  Every domain's cycle time is [IT / II] with [II] integral
+    (paper §4), so with [D] the lcm of the clocking's denominators every
+    time a scheduler forms is a whole number of ticks of [1/D] ns.  The
+    memo holds the cycle times, IT and the [eff_ct * latency] offsets as
+    [int] ticks; {!Pseudo} and {!Slot_sched} place with native int
+    arithmetic and convert to ns only where a value leaves them. *)
 module Memo : sig
   type t
 
-  val create : Clocking.t -> t
+  val max_ticks : int
+  (** [2^40], checked by {!create}: the bound on [D] and on every tick
+      count of the clocking, IT included.  The schedulers' arithmetic
+      goes unchecked: it multiplies a tick count only by a cycle number,
+      a distance, a latency or a register count, and its largest value,
+      one cluster's sum of lifetimes, is below [n * L] ITs for [n]
+      instructions in a schedule [L] ITs long (cycle times never exceed
+      IT), so it is exact in 63 bits while [n * L < 2^22]. *)
+
+  val create : Clocking.t -> (t, Hcv_obs.Diag.t) result
+  (** Errors with [tick-range] (context: the IT and the bound) when a
+      time of the clocking is not positive or passes the bound. *)
+
   val clocking : t -> Clocking.t
+  val it : t -> int
 
-  val eff_ct : t -> cluster:int -> Opcode.fu_kind -> Q.t
-  (** Equal to {!val:eff_ct} of any instruction of that kind. *)
+  val icn_ct : t -> int
+  (** One ICN cycle: also the {!val:sync_penalty}. *)
 
-  val lat_offset : t -> cluster:int -> Opcode.fu_kind -> int -> Q.t
+  val to_ns : t -> int -> Q.t
+
+  val lat_offset : t -> cluster:int -> Opcode.fu_kind -> int -> int
   (** [eff_ct * lat] for an arbitrary (edge) latency. *)
 
-  val def_offset : t -> cluster:int -> Instr.t -> Q.t
+  val def_offset : t -> cluster:int -> Instr.t -> int
   (** [eff_ct * latency] — the instruction's definition delay. *)
 
-  val start_time : t -> cluster:int -> cycle:int -> Q.t
-  val def_time : t -> cluster:int -> cycle:int -> Instr.t -> Q.t
+  val start_time : t -> cluster:int -> cycle:int -> int
+  val earliest_bus_cycle : t -> def_time:int -> int
+  val latest_bus_cycle : t -> buslat:int -> need:int -> int
+  val bus_arrival : t -> buslat:int -> bus_cycle:int -> int
+  val earliest_cycle : t -> cluster:int -> ready:int -> int
+  (** The functions of the same name above, in ticks. *)
 end

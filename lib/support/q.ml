@@ -140,8 +140,6 @@ let div_int t n =
   if n < 0 then { num = -num; den = t.den * -n }
   else { num; den = t.den * n }
 
-let add_mul_int a b n = add a (mul_int b n)
-
 let floor_div a b =
   if b.num = 0 then raise Division_by_zero;
   if a.den = 1 && b.den = 1 then floordiv a.num b.num

@@ -62,10 +62,6 @@ val of_float_approx : ?max_den:int -> float -> t
 val mul_int : t -> int -> t
 val div_int : t -> int -> t
 
-val add_mul_int : t -> t -> int -> t
-(** [add_mul_int a b n] is [add a (mul_int b n)] — the fused
-    "time plus n cycles" step of the schedulers' hot path. *)
-
 val floor_div : t -> t -> int
 (** [floor_div a b = floor (div a b)] without building the intermediate
     rational.  @raise Division_by_zero if [b] is zero. *)
@@ -76,6 +72,12 @@ val ceil_div : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val floordiv : int -> int -> int
+(** [floor (p / q)] for [q > 0], also for negative [p]. *)
+
+val ceildiv : int -> int -> int
+(** [ceil (p / q)] for [q > 0]. *)
 
 val gcd : int -> int -> int
 (** Greatest common divisor on non-negative representatives. *)

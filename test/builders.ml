@@ -19,6 +19,9 @@ let recurrence_loop = Hcv_check.Gen.recurrence_loop
 let wide_loop = Hcv_check.Gen.wide_loop
 let random_loop = Hcv_check.Gen.random_loop
 
+(* The tick base of a hand-built clocking (always within range). *)
+let memo clocking = Result.get_ok (Hcv_sched.Timing.Memo.create clocking)
+
 let machine_1bus = Presets.machine_4c ~buses:1
 let machine_2bus = Presets.machine_4c ~buses:2
 

@@ -115,6 +115,7 @@ let test_null_sink_free_on_estimate () =
   let clocking =
     Result.get_ok (Hcv_sched.Clocking.of_config ~config ~it:(Hcv_support.Q.of_int 4))
   in
+  let memo = Builders.memo clocking in
   let assignment =
     Hcv_sched.Partition.initial_even ~n_clusters:4 loop.Hcv_ir.Loop.ddg
   in
@@ -126,7 +127,7 @@ let test_null_sink_free_on_estimate () =
   (* The option is boxed outside the measured region, so the comparison
      sees only what the estimator itself allocates. *)
   let call obs () =
-    Hcv_sched.Pseudo.estimate ?obs ~machine ~clocking ~loop ~assignment ()
+    Hcv_sched.Pseudo.estimate ~memo ?obs ~machine ~loop ~assignment ()
   in
   let default_obs = call None in
   let explicit_null = call (Some Trace.null) in

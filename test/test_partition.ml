@@ -202,9 +202,9 @@ let with_corpus_case seed f =
       | (i :: _) :: _ -> [ (i, 0) ]
       | _ -> if Ddg.n_instrs ddg > 0 then [ (0, 0) ] else []
     in
-    let memo = Timing.Memo.create clocking in
+    let memo = Builders.memo clocking in
     let score assignment =
-      Pseudo.score (Pseudo.estimate ~memo ~machine ~clocking ~loop ~assignment ())
+      Pseudo.score (Pseudo.estimate ~memo ~machine ~loop ~assignment ())
     in
     f ~seed ~ddg ~n_clusters ~fixed ~groups ~score
 

@@ -195,10 +195,7 @@ let prop_score_memo_equiv =
 
 (* ----- pseudo-schedule fixtures: chosen slots unchanged ----------- *)
 
-let pseudo_slots ~machine ~ii loop assignment =
-  let clocking = Clocking.homogeneous ~n_clusters:4 ~ii ~cycle_time:Q.one in
-  let est = Pseudo.estimate ~machine ~clocking ~loop ~assignment () in
-  let s = est.Pseudo.schedule in
+let slots (s : Schedule.t) =
   let places =
     Array.to_list s.Schedule.placements
     |> List.mapi (fun i (p : Schedule.placement) ->
@@ -213,6 +210,12 @@ let pseudo_slots ~machine ~ii loop assignment =
     |> String.concat " "
   in
   places ^ (if comms = "" then "" else " | " ^ comms)
+
+let pseudo_slots ~machine ~ii loop assignment =
+  let clocking = Clocking.homogeneous ~n_clusters:4 ~ii ~cycle_time:Q.one in
+  slots
+    (Pseudo.estimate ~memo:(Builders.memo clocking) ~machine ~loop ~assignment ())
+      .Pseudo.schedule
 
 let test_pseudo_fixture_slots () =
   let machine = Builders.machine_1bus in
@@ -237,6 +240,203 @@ let test_pseudo_fixture_slots () =
     (pseudo_slots ~machine ~ii:4 rc
        (Partition.initial_even ~n_clusters:4 rc.Loop.ddg))
 
+(* The fixtures above run at one tick per ns, where a mis-scaled tick
+   conversion cannot show.  These run on heterogeneous paper-machine
+   configurations at fractional ITs — cycle times of 23/24 and 23/16 ns
+   (48 ticks per ns), 37/30 and 37/20 ns (60), 53/48 and 53/40 ns
+   (240) — and at a long IT of 90 ns with four domains at II 89, 83, 79
+   and 73 (89 * 83 * 79 * 73 ticks per ns, so IT is 3,834,074,610
+   ticks, past 2^31).  They pin the estimator's slots, transfers,
+   iteration length and register verdict plus the slot scheduler's
+   answer, as recorded with the exact-rational schedulers. *)
+
+(* The cluster domains at [cts] ns, the ICN and cache with cluster 0. *)
+let hetero_clocking ?(registers = 16) ~buses ~cts ~it () =
+  let machine =
+    Machine.make ~name:"hetero-fixture"
+      ~clusters:
+        (Array.init 4 (fun _ -> { Cluster.paper with Cluster.registers }))
+      ~icn:(Icn.make ~buses ()) ()
+  in
+  let pt ct = { Opconfig.cycle_time = ct; vdd = 1.0 } in
+  let config =
+    Opconfig.make ~machine ~cluster_points:(Array.map pt cts)
+      ~icn_point:(pt cts.(0)) ~cache_point:(pt cts.(0))
+  in
+  (machine, Result.get_ok (Clocking.of_config ~config ~it))
+
+(* Clusters below [n_fast] at [fast] times the reference cycle time,
+   the others [slow] times slower still. *)
+let fast_slow ~fast ~slow ~n_fast =
+  let fast_ct = Q.mul Presets.reference_cycle_time fast in
+  Array.init 4 (fun i -> if i < n_fast then fast_ct else Q.mul fast_ct slow)
+
+(* Cycle times whose highest grid frequencies give II 89, 83, 79 and 73
+   at IT = 90 ns. *)
+let long_it_cts = [| Q.make 100 99; Q.make 100 93; Q.make 25 22; Q.make 200 163 |]
+
+let hetero_clockings =
+  [
+    ( "1bus",
+      hetero_clocking ~buses:1
+        ~cts:(fast_slow ~fast:(Q.make 19 20) ~slow:(Q.make 4 3) ~n_fast:2)
+        ~it:(Q.make 23 4) () );
+    ( "2bus",
+      hetero_clocking ~buses:2
+        ~cts:(fast_slow ~fast:(Q.make 11 10) ~slow:(Q.make 3 2) ~n_fast:1)
+        ~it:(Q.make 37 5) () );
+    ( "1bus-2reg",
+      hetero_clocking ~registers:2 ~buses:1
+        ~cts:(fast_slow ~fast:(Q.make 19 20) ~slow:(Q.make 4 3) ~n_fast:2)
+        ~it:(Q.make 23 4) () );
+    ( "1bus-wide",
+      hetero_clocking ~buses:1
+        ~cts:(fast_slow ~fast:(Q.make 21 20) ~slow:(Q.make 5 4) ~n_fast:3)
+        ~it:(Q.make 53 4) () );
+    ("long-it", hetero_clocking ~buses:1 ~cts:long_it_cts ~it:(Q.of_int 90) ());
+    ( "long-it-2bus",
+      hetero_clocking ~buses:2 ~cts:long_it_cts ~it:(Q.of_int 90) () );
+    ( "long-it-2reg",
+      hetero_clocking ~registers:2 ~buses:1 ~cts:long_it_cts
+        ~it:(Q.of_int 90) () );
+  ]
+
+let fixture_loops =
+  [
+    ("dotprod", Builders.dotprod ());
+    ("recurrence", Builders.recurrence_loop ());
+    ("wide", Builders.wide_loop ~width:4 ());
+    ("random", Builders.random_loop ~n:12 ~seed:5 ());
+    ("random16", Builders.random_loop ~n:16 ~seed:9 ());
+  ]
+
+(* [even] spreads instructions round-robin; [fast-slow] puts two in
+   three on the fast clusters 0 and 1 and the rest on slow cluster 3. *)
+let fixture_assignment name (loop : Loop.t) =
+  let n = Ddg.n_instrs loop.Loop.ddg in
+  match name with
+  | "even" -> Partition.initial_even ~n_clusters:4 loop.Loop.ddg
+  | _ -> Array.init n (fun i -> if i mod 3 = 2 then 3 else i mod 2)
+
+let hetero_fixtures =
+  [
+    ( "1bus", "dotprod", "fast-slow",
+      "0:0@0 1:1@0 2:3@4 3:1@18 | 0>3@3 1>3@4 2>1@17 ; len=161/8 "
+      ^ "regs=true",
+      "0:0@0 1:1@0 2:3@4 3:1@18 | 0>3@3 1>3@4 2>1@17" );
+    ( "1bus", "recurrence", "even",
+      "0:0@0 1:3@4 2:1@19 3:1@0 4:2@0 5:0@7 6:2@10 | 0>3@4 1>1@18 "
+      ^ "3>0@3 4>0@5 5>2@13 ; len=253/12 regs=true",
+      "error recurrence cannot meet the initiation time" );
+    ( "1bus", "random", "fast-slow",
+      "0:0@0 1:1@0 2:3@0 3:1@5 4:0@8 5:3@20 6:0@1 7:1@5 8:3@2 9:1@9 "
+      ^ "10:0@3 11:3@2 | 1>0@3 2>1@4 3>0@7 4>3@29 6>1@8 ; len=483/16 "
+      ^ "regs=true",
+      "0:0@2 1:1@0 2:3@0 3:1@5 4:0@9 5:3@20 6:0@0 7:1@5 8:3@2 9:1@9 "
+      ^ "10:0@5 11:3@2 | 1>0@3 2>1@4 3>0@7 4>3@29 6>1@8" );
+    ( "2bus", "wide", "fast-slow",
+      "0:0@0 1:1@3 2:3@8 3:1@0 4:0@5 5:3@7 6:0@1 7:1@4 8:3@9 9:1@1 "
+      ^ "10:0@7 11:3@10 | 0>1@3 1>3@11 3>0@4 4>3@9 6>1@4 7>3@12 9>0@6 "
+      ^ "10>3@11 ; len=111/5 regs=true",
+      "0:0@1 1:1@4 2:3@10 3:1@1 4:0@7 5:3@9 6:0@0 7:1@3 8:3@8 9:1@0 "
+      ^ "10:0@5 11:3@7 | 0>1@4 1>3@12 3>0@6 4>3@11 6>1@3 7>3@11 9>0@4 "
+      ^ "10>3@9" );
+    ( "2bus", "random16", "fast-slow",
+      "0:0@0 1:1@2 2:3@10 3:1@9 4:0@21 5:3@0 6:0@21 7:1@3 8:3@12 "
+      ^ "9:1@4 10:0@13 11:3@23 12:0@40 13:1@14 14:3@10 15:1@20 | 0>1@2 "
+      ^ "1>0@16 1>3@13 2>1@19 3>0@20 5>1@3 7>3@33 8>1@28 9>0@12 9>3@12 "
+      ^ "; len=1073/20 regs=true",
+      "0:0@0 1:1@3 2:3@13 3:1@9 4:0@20 5:3@0 6:0@20 7:1@2 8:3@15 "
+      ^ "9:1@4 10:0@13 11:3@22 12:0@39 13:1@17 14:3@12 15:1@20 | 0>1@2 "
+      ^ "1>0@16 1>3@15 2>1@22 3>0@19 4>1@23 5>1@3 7>3@31 8>1@29 9>0@12 "
+      ^ "9>3@12" );
+    ( "1bus-2reg", "random16", "even",
+      "0:0@0 1:2@2 2:1@14 3:2@8 4:0@19 5:1@0 6:1@19 7:3@3 8:2@12 "
+      ^ "9:0@5 10:0@8 11:1@34 12:3@26 13:3@12 14:3@12 15:2@15 | 0>2@2 "
+      ^ "0>3@3 1>1@13 1>3@17 5>0@4 9>1@12 ; len=161/4 regs=false",
+      "error scheduling budget exhausted" );
+    ( "1bus-2reg", "random16", "fast-slow",
+      "0:0@0 1:1@3 2:3@9 3:1@12 4:0@17 5:3@0 6:0@17 7:1@4 8:3@11 "
+      ^ "9:1@5 10:0@12 11:3@18 12:0@35 13:1@17 14:3@8 15:1@23 | 0>1@2 "
+      ^ "1>3@10 5>1@3 7>3@25 9>0@11 9>3@12 ; len=851/24 regs=false",
+      "error scheduling budget exhausted" );
+    ( "1bus-wide", "random", "even",
+      "0:0@0 1:1@0 2:2@0 3:1@4 4:1@5 5:3@21 6:3@0 7:2@5 8:3@5 9:2@10 "
+      ^ "10:0@3 11:0@7 | 1>2@4 2>0@6 2>1@3 2>3@5 3>0@7 4>3@24 6>2@9 ; "
+      ^ "len=583/20 regs=true",
+      "0:0@0 1:1@0 2:2@0 3:1@4 4:1@5 5:3@21 6:3@0 7:2@5 8:3@5 9:2@10 "
+      ^ "10:0@3 11:0@8 | 1>2@4 2>0@6 2>1@3 2>3@5 3>0@7 4>3@24 6>2@9" );
+    ( "1bus-wide", "random16", "even",
+      "0:0@0 1:2@3 2:1@11 3:2@9 4:0@21 5:1@0 6:1@25 7:3@4 8:2@14 "
+      ^ "9:0@5 10:0@8 11:1@30 12:3@38 13:3@17 14:3@10 15:2@17 | 0>2@2 "
+      ^ "0>3@3 1>1@10 1>3@11 2>2@13 2>3@19 3>0@20 3>1@24 5>0@4 5>2@6 "
+      ^ "7>1@29 9>1@9 ; len=53 regs=true",
+      "error scheduling budget exhausted" );
+    ( "1bus-wide", "wide", "fast-slow",
+      "0:0@0 1:1@4 2:3@8 3:1@0 4:0@5 5:3@9 6:0@1 7:1@6 8:3@10 9:1@1 "
+      ^ "10:0@7 11:3@11 | 0>1@3 1>3@8 3>0@4 4>3@9 6>1@5 7>3@10 9>0@6 "
+      ^ "10>3@11 ; len=689/40 regs=true",
+      "0:0@1 1:1@7 2:3@11 3:1@1 4:0@6 5:3@10 6:0@0 7:1@5 8:3@9 9:1@0 "
+      ^ "10:0@4 11:3@8 | 0>1@6 1>3@11 3>0@5 4>3@10 6>1@4 7>3@9 9>0@3 "
+      ^ "10>3@8" );
+    ( "long-it", "recurrence", "even",
+      "0:0@0 1:3@5 2:1@15 3:1@0 4:2@0 5:0@7 6:2@11 | 0>3@4 1>1@15 2>0@21 "
+      ^ "3>0@5 4>0@6 5>2@11 ; len=1980/89 regs=true",
+      "0:0@0 1:3@5 2:1@15 3:1@0 4:2@0 5:0@7 6:2@11 | 0>3@4 1>1@15 2>0@21 "
+      ^ "3>0@5 4>0@6 5>2@11" );
+    ( "long-it", "wide", "fast-slow",
+      "0:0@0 1:1@4 2:3@9 3:1@0 4:0@5 5:3@10 6:0@1 7:1@6 8:3@11 9:1@1 "
+      ^ "10:0@7 11:3@12 | 0>1@3 1>3@9 3>0@4 4>3@10 6>1@5 7>3@11 9>0@6 "
+      ^ "10>3@12 ; len=1260/73 regs=true",
+      "0:0@1 1:1@5 2:3@12 3:1@1 4:0@7 5:3@11 6:0@0 7:1@4 8:3@9 9:1@0 "
+      ^ "10:0@6 11:3@10 | 0>1@4 1>3@12 3>0@6 4>3@11 6>1@3 7>3@9 9>0@5 "
+      ^ "10>3@10" );
+    ( "long-it", "random16", "even",
+      "0:0@0 1:2@3 2:1@13 3:2@9 4:0@16 5:1@0 6:1@16 7:3@4 8:2@16 9:0@5 "
+      ^ "10:0@8 11:1@28 12:3@32 13:3@16 14:3@12 15:2@19 | 0>2@2 0>3@3 "
+      ^ "1>1@12 1>3@13 2>2@17 2>3@18 3>0@15 3>1@16 4>2@19 5>0@4 5>2@5 "
+      ^ "6>3@38 7>1@28 9>1@9 ; len=3060/73 regs=true",
+      "0:0@0 1:2@3 2:1@13 3:2@9 4:0@17 5:1@0 6:1@15 7:3@4 8:2@16 9:0@5 "
+      ^ "10:0@8 11:1@28 12:3@32 13:3@16 14:3@12 15:2@19 | 0>2@2 0>3@3 "
+      ^ "1>1@12 1>3@13 2>2@17 2>3@18 3>0@16 3>1@15 4>2@20 5>0@4 5>2@5 "
+      ^ "6>3@37 7>1@28 9>1@9" );
+    ( "long-it-2bus", "recurrence", "even",
+      "0:0@0 1:3@5 2:1@15 3:1@0 4:2@0 5:0@6 6:2@10 | 0>3@4 1>1@15 2>0@21 "
+      ^ "3>0@4 4>0@5 5>2@10 ; len=1980/89 regs=true",
+      "0:0@0 1:3@5 2:1@15 3:1@0 4:2@0 5:0@6 6:2@10 | 0>3@5 1>1@15 2>0@21 "
+      ^ "3>0@4 4>0@4 5>2@10" );
+    ( "long-it-2reg", "random16", "fast-slow",
+      "0:0@0 1:1@3 2:3@10 3:1@9 4:0@15 5:3@0 6:0@15 7:1@4 8:3@11 9:1@5 "
+      ^ "10:0@11 11:3@22 12:0@33 13:1@15 14:3@10 15:1@19 | 0>1@2 1>0@13 "
+      ^ "1>3@11 2>1@15 3>0@14 4>1@18 5>1@3 7>3@25 8>1@19 9>0@10 9>3@12 "
+      ^ "; len=3150/89 regs=false",
+      "error register lifetimes exceed the register files" );
+  ]
+
+let test_hetero_fixtures () =
+  let _, long_it = List.assoc "long-it" hetero_clockings in
+  Alcotest.(check int) "long-IT ticks" 3_834_074_610
+    (Timing.Memo.it (Builders.memo long_it));
+  List.iter
+    (fun (cname, lname, aname, want_pseudo, want_slot) ->
+      let machine, clocking = List.assoc cname hetero_clockings in
+      let loop = List.assoc lname fixture_loops in
+      let assignment = fixture_assignment aname loop in
+      let memo = Builders.memo clocking in
+      let label = String.concat "/" [ cname; lname; aname ] in
+      let est = Pseudo.estimate ~memo ~machine ~loop ~assignment () in
+      Alcotest.(check string)
+        (label ^ " pseudo") want_pseudo
+        (Printf.sprintf "%s ; len=%s regs=%b" (slots est.Pseudo.schedule)
+           (Q.to_string est.Pseudo.it_length)
+           est.Pseudo.regs_ok);
+      Alcotest.(check string)
+        (label ^ " slot") want_slot
+        (match Slot_sched.run ~memo ~machine ~loop ~assignment () with
+        | Ok s -> slots s
+        | Error f -> "error " ^ Slot_sched.failure_to_string f))
+    hetero_fixtures
+
 let suite =
   [
     Alcotest.test_case "CSR view: fixture loops" `Quick test_csr_fixtures;
@@ -246,4 +446,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_score_memo_equiv;
     Alcotest.test_case "pseudo fixture slots unchanged" `Quick
       test_pseudo_fixture_slots;
+    Alcotest.test_case "heterogeneous fixtures unchanged" `Quick
+      test_hetero_fixtures;
   ]

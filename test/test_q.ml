@@ -137,8 +137,6 @@ let test_mixed_sign () =
     (Q.floor_div (Q.make 7 2) (Q.of_int (-1)));
   Alcotest.(check int) "ceil_div 7/2 by -1" (-3)
     (Q.ceil_div (Q.make 7 2) (Q.of_int (-1)));
-  Alcotest.(check q) "add_mul_int with negative n" (Q.make (-5) 2)
-    (Q.add_mul_int (Q.make 1 2) (Q.make 3 2) (-2));
   Alcotest.(check q) "mul_int negative" (Q.make 2 3)
     (Q.mul_int a (-2));
   Alcotest.(check q) "div_int negative" (Q.make 1 6)
@@ -151,8 +149,6 @@ let test_fused_ops () =
     (Q.floor_div (Q.make 7 2) Q.one);
   Alcotest.(check int) "ceil_div -7/2 / 1" (-3)
     (Q.ceil_div (Q.make (-7) 2) Q.one);
-  Alcotest.(check q) "add_mul_int" (Q.make 7 2)
-    (Q.add_mul_int (Q.make 1 2) (Q.make 3 2) 2);
   Alcotest.check_raises "ceil_div by zero" Division_by_zero (fun () ->
       ignore (Q.ceil_div Q.one Q.zero))
 
@@ -205,12 +201,6 @@ let prop_fused_div =
       Q.ceil_div a b = Q.ceil (Q.div a b)
       && Q.floor_div a b = Q.floor (Q.div a b))
 
-let prop_add_mul_int =
-  QCheck.Test.make ~name:"add_mul_int = add + mul_int" ~count:500
-    (QCheck.triple arb_q arb_q (QCheck.int_range (-50) 50))
-    (fun (a, b, n) ->
-      Q.equal (Q.add_mul_int a b n) (Q.add a (Q.mul_int b n)))
-
 let suite =
   [
     Alcotest.test_case "normalisation" `Quick test_normalisation;
@@ -230,5 +220,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_normal_form;
     QCheck_alcotest.to_alcotest prop_compare_vs_float;
     QCheck_alcotest.to_alcotest prop_fused_div;
-    QCheck_alcotest.to_alcotest prop_add_mul_int;
   ]

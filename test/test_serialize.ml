@@ -41,7 +41,7 @@ let test_hetero_roundtrip () =
   | Error _ -> Alcotest.fail "clocking failed"
   | Ok clocking -> (
     let assignment = Array.make (Hcv_ir.Ddg.n_instrs loop.Hcv_ir.Loop.ddg) 0 in
-    match Slot_sched.run ~machine ~clocking ~loop ~assignment () with
+    match Slot_sched.run ~memo:(Builders.memo clocking) ~machine ~loop ~assignment () with
     | Error f -> Alcotest.failf "failed: %s" (Slot_sched.failure_to_string f)
     | Ok sched -> (
       match Serialize.of_string ~machine ~loop (Serialize.to_string sched) with

@@ -34,7 +34,7 @@ let random_loop seed =
 let try_schedule loop ii =
   let clocking = Clocking.homogeneous ~n_clusters:4 ~ii ~cycle_time:Q.one in
   let assignment = Partition.initial_even ~n_clusters:4 loop.Loop.ddg in
-  Slot_sched.run ~machine ~clocking ~loop ~assignment ()
+  Slot_sched.run ~memo:(Builders.memo clocking) ~machine ~loop ~assignment ()
 
 let prop_schedules_validate =
   QCheck.Test.make ~name:"produced schedules validate" ~count:60
@@ -83,7 +83,8 @@ let test_impossible_fu () =
   let loop = Loop.make ~name:"fp" (Ddg.Builder.build b) in
   let clocking = Clocking.homogeneous ~n_clusters:2 ~ii:2 ~cycle_time:Q.one in
   (* Force the FP op onto the FP-less cluster. *)
-  match Slot_sched.run ~machine:m2 ~clocking ~loop ~assignment:[| 1 |] () with
+  match Slot_sched.run ~memo:(Builders.memo clocking) ~machine:m2 ~loop
+          ~assignment:[| 1 |] () with
   | Error Slot_sched.Budget_exhausted -> ()
   | Error f -> Alcotest.failf "wrong failure: %s" (Slot_sched.failure_to_string f)
   | Ok _ -> Alcotest.fail "cannot schedule FP on an int-only cluster"
@@ -106,7 +107,8 @@ let test_cross_cluster_chain () =
   Ddg.Builder.add_edge b x y;
   let loop = Loop.make ~name:"xy" (Ddg.Builder.build b) in
   let clocking = Clocking.homogeneous ~n_clusters:4 ~ii:4 ~cycle_time:Q.one in
-  match Slot_sched.run ~machine ~clocking ~loop ~assignment:[| 0; 1 |] () with
+  match Slot_sched.run ~memo:(Builders.memo clocking) ~machine ~loop
+          ~assignment:[| 0; 1 |] () with
   | Ok sched ->
     Alcotest.(check int) "one transfer" 1 (Schedule.n_comms sched);
     Alcotest.(check bool) "validates" true (Schedule.validate sched = Ok ())
