@@ -1,51 +1,36 @@
-(* Experiment harness: regenerates every table and figure of the paper's
+(* hcvliw paper: regenerates every table and figure of the paper's
    evaluation (Table 1, Table 2, Figures 6-9) and our ablations on the
-   synthetic SPECfp populations.  Timing lives in perfbench/ (see
-   perfbench/README.md); this program only prints results.
+   synthetic SPECfp populations.  Timing lives in perfbench/; this
+   command only prints results.
 
-   Usage:
-     main.exe [table1] [table2] [fig6] [fig7] [fig8] [fig9] [ablation]
-              [--quick] [--jobs N] [--cache DIR] [--resume]
-              [--telemetry-csv FILE]
-   With no selector, everything runs.  --quick shrinks the populations
-   (figures *and* ablations) and skips the 2-bus variants of the
-   sensitivity figures.
+   With no selector, everything runs, in the order below, over one
+   engine and cache.  --quick shrinks the populations (figures and
+   ablations) and skips the 2-bus variants of the sensitivity figures.
+   Every figure/ablation sweep computes its independent cells on the
+   engine's workers and memoises them in --cache; tables are assembled
+   in submission order, so stdout is byte-identical whatever the worker
+   count and cache state. *)
 
-   Every figure/ablation sweep runs through the Hcv_explore engine:
-   --jobs N computes the independent (configuration, benchmark) cells
-   on N worker domains, --cache DIR memoises completed cells on disk so
-   repeated runs and --resume after an interruption skip them, and the
-   per-stage telemetry (cells, cache hits, wall clock) goes to stderr
-   (and to --telemetry-csv as CSV).  Tables are assembled from the
-   results in submission order, so stdout is byte-identical whatever
-   the worker count and cache state. *)
-
+open Cmdliner
 open Hcv_support
 open Hcv_ir
 open Hcv_machine
 open Hcv_energy
 open Hcv_core
 open Hcv_workload
-module E = Hcv_explore
+open Common
 
-let quick = ref false
 let seed = 42
-
-(* Unwrap a Diag-carrying result in a context where failure is fatal. *)
-let diag_ok = function
-  | Ok v -> v
-  | Error d -> failwith (Hcv_obs.Diag.to_string d)
-
-let fig_loops () = if !quick then Some 6 else Some 10
-let fig6_loops () = if !quick then Some 8 else None (* per-spec default *)
-let sense_buses () = if !quick then [ 1 ] else [ 1; 2 ]
+let fig_loops ~quick = if quick then Some 6 else Some 10
+let fig6_loops ~quick = if quick then Some 8 else None (* per-spec default *)
+let sense_buses ~quick = if quick then [ 1 ] else [ 1; 2 ]
 
 (* --quick must bound the ablation bench too, not just the figures. *)
-let ablation_benches () =
-  if !quick then [ "sixtrack"; "facerec" ]
+let ablation_benches ~quick =
+  if quick then [ "sixtrack"; "facerec" ]
   else [ "sixtrack"; "facerec"; "fma3d" ]
 
-let unroll_loops () = if !quick then 4 else 8
+let unroll_loops ~quick = if quick then 4 else 8
 
 (* ------------------------------------------------------------------ *)
 
@@ -121,32 +106,11 @@ let table2 () =
 
 (* ------------------------------------------------------------------ *)
 
-let loops_of (c : Sweep.cell) =
-  match Specfp.find c.Sweep.bench with
-  | Some spec -> Specfp.loops ?n_loops:c.Sweep.n_loops ~seed:c.Sweep.seed spec
-  | None -> failwith (Printf.sprintf "unknown benchmark %S" c.Sweep.bench)
-
 let all_cells ?n_loops ?grid_steps ?params ~buses () =
   List.map
     (fun spec ->
       Sweep.cell ~buses ?n_loops ~seed ?grid_steps ?params spec.Specfp.name)
     Specfp.all
-
-(* Report failed cells exactly where the serial run reported them, then
-   keep only the successful ones (the serial code dropped failures from
-   the means as well). *)
-let report_failures outcomes =
-  List.filter
-    (fun (o : Sweep.outcome) ->
-      match o.Sweep.error with
-      | None -> true
-      | Some msg ->
-        Printf.printf "  !! %s failed: %s\n%!" o.Sweep.bench msg;
-        false)
-    outcomes
-
-let mean_ratio outcomes =
-  Listx.mean (List.map (fun (o : Sweep.outcome) -> o.Sweep.ed2_ratio) outcomes)
 
 (* Paper Figure 6 per-benchmark readings (approximate, from the bar
    chart; 1-bus values; used only as the "paper" column). *)
@@ -157,16 +121,16 @@ let fig6_paper =
     ("sixtrack", 0.65); ("apsi", 0.85);
   ]
 
-let fig6 engine =
+let fig6 ~quick engine obs =
   let buses_list = [ 1; 2 ] in
   (* One sweep for the whole figure: every (bus count, benchmark) cell
      is independent. *)
   let cells =
     List.concat_map
-      (fun buses -> all_cells ?n_loops:(fig6_loops ()) ~buses ())
+      (fun buses -> all_cells ?n_loops:(fig6_loops ~quick) ~buses ())
       buses_list
   in
-  let outcomes = Sweep.run engine ~label:"fig6" ~loops_of cells in
+  let outcomes = Sweep.run engine ~label:"fig6" ~obs ~loops_of cells in
   let n_specs = List.length Specfp.all in
   List.iteri
     (fun i buses ->
@@ -174,7 +138,7 @@ let fig6 engine =
         "Figure 6 (%d bus%s): ED2 normalised to the optimum homogeneous\n%!"
         buses (if buses > 1 then "es" else "");
       let results =
-        report_failures
+        List.filter succeeded
           (Listx.take n_specs (Listx.drop (i * n_specs) outcomes))
       in
       let t =
@@ -202,7 +166,7 @@ let fig6 engine =
         results;
       Tablefmt.add_sep t;
       Tablefmt.add_row t
-        [ "mean"; Tablefmt.cell_f 0.85; Tablefmt.cell_f (mean_ratio results);
+        [ "mean"; Tablefmt.cell_f 0.85; Tablefmt.cell_f (mean_ed2 results);
           "-"; "-" ];
       Tablefmt.print t;
       print_newline ())
@@ -214,18 +178,18 @@ let fig6 engine =
    whole-population sweeps, one mean ED2 ratio per grid point.  A
    variant is a column label plus an optional frequency-grid step count
    (Figure 7) and optional energy parameters (Figures 8 and 9). *)
-let sense_figure engine ~label ~header ~footer variants =
+let sense_figure ~label ~header ~footer variants ~quick engine obs =
   Printf.printf "%s\n%!" header;
   let cells =
     List.concat_map
       (fun buses ->
         List.concat_map
           (fun (_, grid_steps, params) ->
-            all_cells ?n_loops:(fig_loops ()) ?grid_steps ?params ~buses ())
+            all_cells ?n_loops:(fig_loops ~quick) ?grid_steps ?params ~buses ())
           variants)
-      (sense_buses ())
+      (sense_buses ~quick)
   in
-  let outcomes = ref (Sweep.run engine ~label ~loops_of cells) in
+  let outcomes = ref (Sweep.run engine ~label ~obs ~loops_of cells) in
   let n_specs = List.length Specfp.all in
   let next_group () =
     let g = Listx.take n_specs !outcomes in
@@ -242,17 +206,16 @@ let sense_figure engine ~label ~header ~footer variants =
       let cells =
         List.map
           (fun _ ->
-            let ok = report_failures (next_group ()) in
-            Tablefmt.cell_f (mean_ratio ok))
+            Tablefmt.cell_f (mean_ed2 (List.filter succeeded (next_group ()))))
           variants
       in
       Tablefmt.add_row t (string_of_int buses :: cells))
-    (sense_buses ());
+    (sense_buses ~quick);
   Tablefmt.print t;
   Printf.printf "%s\n\n%!" footer
 
-let fig7 engine =
-  sense_figure engine ~label:"fig7"
+let fig7 =
+  sense_figure ~label:"fig7"
     ~header:"Figure 7: mean ED2 ratio vs number of supported frequencies"
     ~footer:
       "(paper: 16 freqs within 0.1% of any; 8 freqs < 1% worse; 4 freqs ~2% \
@@ -264,8 +227,8 @@ let fig7 engine =
       ("4 freqs", Some 4, None);
     ]
 
-let fig8 engine =
-  sense_figure engine ~label:"fig8"
+let fig8 =
+  sense_figure ~label:"fig8"
     ~header:"Figure 8: mean ED2 ratio varying the ICN/cache energy shares"
     ~footer:"(paper: results vary only slightly across shares)"
     (List.map
@@ -279,8 +242,8 @@ let fig8 engine =
          ("0.20/0.30", 0.20, 0.30);
        ])
 
-let fig9 engine =
-  sense_figure engine ~label:"fig9"
+let fig9 =
+  sense_figure ~label:"fig9"
     ~header:
       "Figure 9: mean ED2 ratio varying the leakage shares (cluster/ICN/cache)"
     ~footer:"(paper: changing leakage shares has little impact)"
@@ -334,14 +297,20 @@ let abl_codec ~salt =
           |> Option.map (fun values -> { values; failure }));
   }
 
+(* The ablation cells run on worker domains: a failed selection raises,
+   and the engine quarantines the cell into a "!!" line. *)
+let raise_diag = function
+  | Ok v -> v
+  | Error d -> failwith (Hcv_obs.Diag.to_string d)
+
 (* Ablations of the two heterogeneous-specific scheduling ingredients
    (§4.1): recurrence pre-placement and ED2-guided refinement; plus the
    §5.3 unrolling mitigation for coarse frequency grids. *)
-let ablation engine =
+let ablation ~quick engine obs =
   Printf.printf "Ablations (design choices called out in DESIGN.md)\n%!";
   let machine = Presets.machine_4c ~buses:1 in
-  let bench_names = ablation_benches () in
-  let n_loops = fig_loops () in
+  let bench_names = ablation_benches ~quick in
+  let n_loops = fig_loops ~quick in
   let abl_cell name =
     ( name,
       [
@@ -362,9 +331,11 @@ let ablation engine =
           profile.Profile.activity
       in
       let ctx = Model.ctx ~params:Params.default ~units () in
-      let homo = diag_ok (Select.optimum_homogeneous ~ctx ~machine profile) in
+      let homo =
+        raise_diag (Select.optimum_homogeneous ~ctx ~machine profile)
+      in
       let config =
-        (diag_ok (Select.select_heterogeneous ~ctx ~machine profile))
+        (raise_diag (Select.select_heterogeneous ~ctx ~machine profile))
           .Select.config
       in
       let measure ?preplace ?score_mode () =
@@ -391,7 +362,7 @@ let ablation engine =
   in
   let rows =
     List.map abl_row_of
-      (E.Engine.sweep engine ~label:"ablation"
+      (E.Engine.sweep engine ~label:"ablation" ~obs
          ~codec:(abl_codec ~salt:"hcv-ablation-v1")
          run_variants
          (List.map abl_cell bench_names))
@@ -427,12 +398,12 @@ let ablation engine =
       [
         E.Codec.machine_key machine4;
         string_of_int seed;
-        string_of_int (unroll_loops ());
+        string_of_int (unroll_loops ~quick);
       ] )
   in
   let run_unroll (_, _) =
     let spec = Option.get (Specfp.find "sixtrack") in
-    let loops = Specfp.loops ~n_loops:(unroll_loops ()) ~seed spec in
+    let loops = Specfp.loops ~n_loops:(unroll_loops ~quick) ~seed spec in
     match Profile.profile ~machine:machine4 ~loops () with
     | Error d -> { values = []; failure = Some (Hcv_obs.Diag.to_string d) }
     | Ok profile ->
@@ -442,7 +413,8 @@ let ablation engine =
       in
       let ctx = Model.ctx ~params:Params.default ~units () in
       let config =
-        (diag_ok (Select.select_heterogeneous ~ctx ~machine:machine4 profile))
+        (raise_diag
+           (Select.select_heterogeneous ~ctx ~machine:machine4 profile))
           .Select.config
       in
       let sync_and_time unroll =
@@ -463,12 +435,12 @@ let ablation engine =
       let b2, t2 = sync_and_time 2 in
       { values = [ float_of_int b1; t1; float_of_int b2; t2 ]; failure = None }
   in
-  (match
-     List.map abl_row_of
-       (E.Engine.sweep engine ~label:"ablation-unroll"
-          ~codec:(abl_codec ~salt:"hcv-ablation-unroll-v1")
-          run_unroll [ unroll_cell ])
-   with
+  match
+    List.map abl_row_of
+      (E.Engine.sweep engine ~label:"ablation-unroll" ~obs
+         ~codec:(abl_codec ~salt:"hcv-ablation-unroll-v1")
+         run_unroll [ unroll_cell ])
+  with
   | [ { failure = Some msg; _ } ] ->
     Printf.printf "  !! unroll ablation: %s\n%!" msg
   | [ { values = [ b1; t1; b2; t2 ]; _ } ] ->
@@ -477,16 +449,15 @@ let ablation engine =
        %.0f ns; unrolled x2 %d sync bumps, %.0f ns (%.1f%% time change)\n\n%!"
       (int_of_float b1) t1 (int_of_float b2) t2
       (100.0 *. ((t2 /. t1) -. 1.0))
-  | _ -> Printf.printf "  !! unroll ablation: malformed row\n%!");
-  ()
+  | _ -> Printf.printf "  !! unroll ablation: malformed row\n%!"
 
 (* ------------------------------------------------------------------ *)
 
 (* Every experiment, in the order they print. *)
 let experiments =
   [
-    ("table1", fun _ -> table1 ());
-    ("table2", fun _ -> table2 ());
+    ("table1", fun ~quick:_ _ _ -> table1 ());
+    ("table2", fun ~quick:_ _ _ -> table2 ());
     ("fig6", fig6);
     ("fig7", fig7);
     ("fig8", fig8);
@@ -494,78 +465,42 @@ let experiments =
     ("ablation", ablation);
   ]
 
-let usage () =
-  prerr_endline
-    "usage: main.exe [table1] [table2] [fig6] [fig7] [fig8] [fig9] [ablation]\n\
-    \                [--quick] [--jobs N] [--cache DIR] [--resume]\n\
-    \                [--telemetry-csv FILE]";
-  exit 2
-
-(* Cache recovery diagnostics (an unusable directory, quarantined
-   corrupt lines) go to stderr as the hcvliw CLI prints them; stdout
-   stays the deterministic tables. *)
-let cache_warn d = Printf.eprintf "warning: %s\n%!" (Hcv_obs.Diag.to_string d)
-
-let () =
-  let jobs = ref 1 in
-  let cache_dir = ref None in
-  let resume = ref false in
-  let csv = ref None in
-  let rec parse selected = function
-    | [] -> List.rev selected
-    | "--quick" :: rest ->
-      quick := true;
-      parse selected rest
-    | "--jobs" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> jobs := n
-      | Some _ | None ->
-        Printf.eprintf "error: --jobs expects a positive integer, got %S\n" v;
-        usage ());
-      parse selected rest
-    | "--cache" :: dir :: rest ->
-      cache_dir := Some dir;
-      parse selected rest
-    | "--resume" :: rest ->
-      resume := true;
-      parse selected rest
-    | "--telemetry-csv" :: file :: rest ->
-      csv := Some file;
-      parse selected rest
-    | ("--jobs" | "--cache" | "--telemetry-csv") :: [] -> usage ()
-    | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
-      Printf.eprintf "error: unknown option %s\n" arg;
-      usage ()
-    | name :: rest when List.mem_assoc name experiments ->
-      parse (name :: selected) rest
-    | name :: _ ->
-      Printf.eprintf "error: unknown experiment %s\n" name;
-      usage ()
+let cmd =
+  let selected =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun (name, _) -> (name, name)) experiments)) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"Experiments to run (default: all of them, in this order): \
+                table1, table2, fig6, fig7, fig8, fig9, ablation.")
   in
-  let selected = parse [] (List.tl (Array.to_list Sys.argv)) in
-  if !resume && !cache_dir = None then begin
-    prerr_endline "error: --resume needs --cache DIR";
-    usage ()
-  end;
-  let cache = Option.map (E.Cache.open_dir ~warn:cache_warn) !cache_dir in
-  (match (cache, !resume) with
-  | Some c, true ->
-    Printf.eprintf "resuming: %d completed cells on disk\n%!"
-      (E.Cache.stats c).E.Cache.entries
-  | _, _ -> ());
-  let progress = E.Progress.create ~verbose:true ?csv:!csv () in
-  let engine = E.Engine.create ~jobs:!jobs ?cache ~progress () in
-  Fun.protect
-    ~finally:(fun () ->
-      (match cache with
-      | Some c ->
-        let s = E.Cache.stats c in
-        Printf.eprintf "cache: %d hits, %d misses, %d entries\n%!"
-          s.E.Cache.hits s.E.Cache.misses s.E.Cache.entries
-      | None -> ());
-      E.Engine.shutdown engine)
-    (fun () ->
-      List.iter
-        (fun (name, run) ->
-          if selected = [] || List.mem name selected then run engine)
-        experiments)
+  let quick =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:"Smaller populations for the figures and ablations, and no \
+                2-bus variants of Figures 7-9 (the golden-pinned \
+                configuration).")
+  in
+  let run selected quick jobs cache_dir csv trace metrics =
+    setup_logs ();
+    let names =
+      List.filter
+        (fun name -> selected = [] || List.mem name selected)
+        (List.map fst experiments)
+    in
+    let progress = E.Progress.create ~verbose:true ?csv () in
+    with_engine ?cache_dir ~progress ~jobs (fun ~cache engine ->
+        ignore
+          (with_obs_each ~trace ~metrics names (fun name obs ->
+               (List.assoc name experiments) ~quick engine obs));
+        Option.iter print_cache_stats cache)
+  in
+  Cmd.v
+    (Cmd.info "paper"
+       ~doc:
+         "Reproduce the paper's evaluation: Table 1, Table 2, Figures 6-9 \
+          and our ablations, each sweep on the parallel, memoised engine.")
+    Term.(
+      const run $ selected $ quick $ jobs () $ cache $ telemetry_csv $ trace
+      $ metrics)

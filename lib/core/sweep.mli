@@ -104,7 +104,7 @@ val choice_to_string : Select.choice -> string
 val choice_of_string :
   machine:Machine.t -> string -> Select.choice option
 (** Round-trips {!choice_to_string}; needs the machine to rebind the
-    configuration (same contract as [Hcv_sched.Serialize]). *)
+    configuration. *)
 
 val codec : (cell, outcome) Hcv_explore.Engine.codec
 

@@ -1,7 +1,6 @@
 (** Key derivation and serialisation helpers shared by the sweep
     codecs (the higher layers add codecs for their own result types —
-    e.g. [Hcv_core.Sweep] for selection choices and pipeline outcomes;
-    schedule-bearing values reuse [Hcv_sched.Serialize]).
+    e.g. [Hcv_core.Sweep] for selection choices and pipeline outcomes).
 
     Floats embedded in keys or values use the hexadecimal ["%h"] form:
     exact, locale-independent, and stable across runs — two cells get

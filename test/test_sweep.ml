@@ -8,7 +8,8 @@ module E = Hcv_explore
 let default_cell = Sweep.cell "applu"
 
 let test_cell_key_stable () =
-  (* Same inputs, same key — the property --resume depends on. *)
+  (* Same inputs, same key — the property resuming from a cache depends
+     on. *)
   Alcotest.(check string)
     "key is a pure function of the cell"
     (Sweep.cell_key default_cell)
