@@ -70,13 +70,6 @@ let cache =
               interrupted one.  Every sweep and the daemon share one \
               directory without colliding.")
 
-let telemetry_csv =
-  Arg.(
-    value & opt (some string) None
-    & info [ "csv" ] ~docv:"FILE"
-        ~doc:"Append per-stage telemetry (cells, hits, wall clock) to \
-              $(docv).")
-
 let trace =
   Arg.(
     value & opt (some string) None
@@ -226,9 +219,9 @@ let print_cache_stats c =
 (* Engine/cache lifecycle for every engine-backed subcommand: open the
    persistent cache with recovery warnings to stderr, create the engine,
    and guarantee worker join + cache close however [f] exits. *)
-let with_engine ?cache_dir ?progress ~jobs f =
+let with_engine ?cache_dir ~jobs f =
   let cache = Option.map (E.Cache.open_dir ~warn:cache_warn) cache_dir in
-  let engine = E.Engine.create ~jobs ?cache ?progress () in
+  let engine = E.Engine.create ~jobs ?cache () in
   Fun.protect
     ~finally:(fun () -> E.Engine.shutdown engine)
     (fun () -> f ~cache engine)

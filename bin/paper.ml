@@ -362,10 +362,11 @@ let ablation ~quick engine obs =
   in
   let rows =
     List.map abl_row_of
-      (E.Engine.sweep engine ~label:"ablation" ~obs
-         ~codec:(abl_codec ~salt:"hcv-ablation-v1")
-         run_variants
-         (List.map abl_cell bench_names))
+      (Hcv_obs.Trace.span obs "sweep:ablation" (fun obs ->
+           E.Engine.sweep engine ~obs
+             ~codec:(abl_codec ~salt:"hcv-ablation-v1")
+             run_variants
+             (List.map abl_cell bench_names)))
   in
   let t =
     Tablefmt.create
@@ -437,9 +438,10 @@ let ablation ~quick engine obs =
   in
   match
     List.map abl_row_of
-      (E.Engine.sweep engine ~label:"ablation-unroll" ~obs
-         ~codec:(abl_codec ~salt:"hcv-ablation-unroll-v1")
-         run_unroll [ unroll_cell ])
+      (Hcv_obs.Trace.span obs "sweep:ablation-unroll" (fun obs ->
+           E.Engine.sweep engine ~obs
+             ~codec:(abl_codec ~salt:"hcv-ablation-unroll-v1")
+             run_unroll [ unroll_cell ]))
   with
   | [ { failure = Some msg; _ } ] ->
     Printf.printf "  !! unroll ablation: %s\n%!" msg
@@ -482,15 +484,14 @@ let cmd =
                 2-bus variants of Figures 7-9 (the golden-pinned \
                 configuration).")
   in
-  let run selected quick jobs cache_dir csv trace metrics =
+  let run selected quick jobs cache_dir trace metrics =
     setup_logs ();
     let names =
       List.filter
         (fun name -> selected = [] || List.mem name selected)
         (List.map fst experiments)
     in
-    let progress = E.Progress.create ~verbose:true ?csv () in
-    with_engine ?cache_dir ~progress ~jobs (fun ~cache engine ->
+    with_engine ?cache_dir ~jobs (fun ~cache engine ->
         ignore
           (with_obs_each ~trace ~metrics names (fun name obs ->
                (List.assoc name experiments) ~quick engine obs));
@@ -501,6 +502,4 @@ let cmd =
        ~doc:
          "Reproduce the paper's evaluation: Table 1, Table 2, Figures 6-9 \
           and our ablations, each sweep on the parallel, memoised engine.")
-    Term.(
-      const run $ selected $ quick $ jobs () $ cache $ telemetry_csv $ trace
-      $ metrics)
+    Term.(const run $ selected $ quick $ jobs () $ cache $ trace $ metrics)

@@ -56,7 +56,7 @@ let explore_cmd =
           ~doc:"Also print each benchmark's selected heterogeneous \
                 configuration.")
   in
-  let run names buses machine n_loops seed steps jobs cache compact csv
+  let run names buses machine n_loops seed steps jobs cache compact
       show_config trace metrics =
     setup_logs ();
     if compact && cache = None then
@@ -68,8 +68,7 @@ let explore_cmd =
           Sweep.cell ~buses ?n_loops ~seed ?grid_steps:steps ~machine name)
         names
     in
-    let progress = E.Progress.create ~verbose:true ?csv () in
-    with_engine ?cache_dir:cache ~progress ~jobs (fun ~cache engine ->
+    with_engine ?cache_dir:cache ~jobs (fun ~cache engine ->
         let outcomes =
           with_obs ~trace ~metrics "explore" (fun obs ->
               Sweep.run engine ~label:"explore" ~obs ~loops_of cells)
@@ -113,8 +112,7 @@ let explore_cmd =
           rerun resumes from.")
     Term.(
       const run $ benchmarks $ buses $ Common.machine $ loops $ seed $ steps
-      $ jobs () $ cache $ compact $ telemetry_csv $ show_config $ trace
-      $ metrics)
+      $ jobs () $ cache $ compact $ show_config $ trace $ metrics)
 
 (* ----- frontier: multi-objective Pareto selection ------------------- *)
 
@@ -179,7 +177,6 @@ let frontier_cmd =
       | None -> Frontier.all_objectives
       | Some s -> List.map objective (String.split_on_char ',' s)
     in
-    if objectives = [] then or_die (Error "--objectives is empty");
     let caps = List.map (fun s -> or_die (Frontier.cap_of_string s)) caps in
     Frontier.spec ~objectives ~caps ()
   in

@@ -10,7 +10,6 @@ open Hcv_sched
 
 type violation = { rule : string; detail : string }
 
-let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.rule v.detail
 let to_strings vs = List.map (fun v -> v.rule ^ ": " ^ v.detail) vs
 
 (* ----- first-principles timing --------------------------------------- *)

@@ -65,4 +65,3 @@ val lifetime_sums : Schedule.t -> Q.t array
     {!Schedule.lifetimes_ns}. *)
 
 val to_strings : violation list -> string list
-val pp_violation : Format.formatter -> violation -> unit

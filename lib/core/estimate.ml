@@ -79,6 +79,3 @@ let predict_activity ~config (p : Profile.t) =
       in
       Activity.add acc (Activity.scale act lp.Profile.reps))
     (Activity.zero ~n_clusters) p.Profile.loops
-
-let predict_ed2 ~ctx ~config p =
-  Model.ed2 ctx ~config (predict_activity ~config p)

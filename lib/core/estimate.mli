@@ -32,5 +32,3 @@ val predict_activity : config:Opconfig.t -> Profile.t -> Activity.t
     estimated execution times, reference event counts (the heterogeneous
     schedule is assumed to keep the homogeneous instruction
     distribution, per §3.1). *)
-
-val predict_ed2 : ctx:Model.ctx -> config:Opconfig.t -> Profile.t -> float

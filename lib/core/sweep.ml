@@ -304,7 +304,7 @@ let run engine ?(label = "sweep") ?(obs = Hcv_obs.Trace.null) ~loops_of cells
     =
   Hcv_obs.Trace.span obs ("sweep:" ^ label) (fun sp ->
       let results =
-        E.Engine.sweep engine ~label ~obs:sp ~codec (run_cell ~loops_of) cells
+        E.Engine.sweep engine ~obs:sp ~codec (run_cell ~loops_of) cells
       in
       let outcomes =
         List.map2

@@ -109,56 +109,3 @@ let opconfig_of_json ~machine j =
     match Opconfig.make ~machine ~cluster_points ~icn_point ~cache_point with
     | c -> Some c
     | exception Invalid_argument _ -> None
-
-let activity_to_json (a : Activity.t) =
-  Jsonx.Obj
-    [
-      ("t", Jsonx.Str (float_to_string a.Activity.exec_time_ns));
-      ( "ins",
-        Jsonx.List
-          (Array.to_list
-             (Array.map
-                (fun e -> Jsonx.Str (float_to_string e))
-                a.Activity.per_cluster_ins_energy)) );
-      ("comms", Jsonx.Str (float_to_string a.Activity.n_comms));
-      ("mem", Jsonx.Str (float_to_string a.Activity.n_mem));
-    ]
-
-let activity_of_json j =
-  let ( let* ) = Option.bind in
-  let fstr field = Option.bind (Jsonx.member field j) Jsonx.str in
-  let* t = Option.bind (fstr "t") float_of_string in
-  let* ins = Option.bind (Jsonx.member "ins" j) Jsonx.list in
-  let* comms = Option.bind (fstr "comms") float_of_string in
-  let* mem = Option.bind (fstr "mem") float_of_string in
-  let* per_cluster =
-    List.fold_left
-      (fun acc v ->
-        match (acc, Option.bind (Jsonx.str v) float_of_string) with
-        | Some acc, Some f -> Some (f :: acc)
-        | _, _ -> None)
-      (Some []) ins
-    |> Option.map (fun l -> Array.of_list (List.rev l))
-  in
-  match
-    Activity.make ~exec_time_ns:t ~per_cluster_ins_energy:per_cluster
-      ~n_comms:comms ~n_mem:mem
-  with
-  | a -> Some a
-  | exception Invalid_argument _ -> None
-
-let floats_to_string fs =
-  Jsonx.to_string
-    (Jsonx.List (List.map (fun f -> Jsonx.Str (float_to_string f)) fs))
-
-let floats_of_string s =
-  match Jsonx.of_string s with
-  | Ok (Jsonx.List xs) ->
-    List.fold_left
-      (fun acc v ->
-        match (acc, Option.bind (Jsonx.str v) float_of_string) with
-        | Some acc, Some f -> Some (f :: acc)
-        | _, _ -> None)
-      (Some []) xs
-    |> Option.map List.rev
-  | Ok _ | Error _ -> None

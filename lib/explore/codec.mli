@@ -35,12 +35,3 @@ val opconfig_to_json : Opconfig.t -> Jsonx.t
 val opconfig_of_json : machine:Machine.t -> Jsonx.t -> Opconfig.t option
 (** Rebinds the configuration to [machine]; [None] on shape mismatch or
     malformed JSON. *)
-
-val activity_to_json : Activity.t -> Jsonx.t
-val activity_of_json : Jsonx.t -> Activity.t option
-
-val floats_to_string : float list -> string
-(** A JSON list of exact floats — the value format of sweeps whose
-    cells reduce to a few numbers (the bench ablations). *)
-
-val floats_of_string : string -> float list option

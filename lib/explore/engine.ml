@@ -1,12 +1,7 @@
 module Inject = Hcv_resilience.Inject
 module Retry = Hcv_resilience.Retry
 
-type t = {
-  pool : Pool.t;
-  cache : Cache.t option;
-  progress : Progress.t;
-  policy : Retry.policy;
-}
+type t = { pool : Pool.t; cache : Cache.t option; policy : Retry.policy }
 
 type ('a, 'b) codec = {
   cell_key : 'a -> string;
@@ -14,15 +9,11 @@ type ('a, 'b) codec = {
   decode : string -> 'b option;
 }
 
-let create ?(jobs = 1) ?cache ?progress ?(policy = Retry.default_policy) () =
-  let progress =
-    match progress with Some p -> p | None -> Progress.create ()
-  in
-  { pool = Pool.create ~jobs (); cache; progress; policy }
+let create ?(jobs = 1) ?cache ?(policy = Retry.default_policy) () =
+  { pool = Pool.create ~jobs (); cache; policy }
 
 let jobs t = Pool.jobs t.pool
 let cache t = t.cache
-let progress t = t.progress
 
 (* Wrap a worker task so its wall time accumulates into a per-worker
    volatile gauge of [obs] (utilisation is run-dependent by nature, so
@@ -38,19 +29,6 @@ let timed_on_worker obs f =
              ((Domain.self () :> int)))
           (Unix.gettimeofday () -. t0))
       (fun () -> f x)
-
-let map t ?(label = "map") ?(obs = Hcv_obs.Trace.null) f xs =
-  Progress.stage_begin t.progress label;
-  Fun.protect
-    ~finally:(fun () -> Progress.stage_end t.progress)
-    (fun () ->
-      Hcv_obs.Trace.add obs "cells" (List.length xs);
-      Pool.map t.pool
-        (timed_on_worker obs (fun x ->
-             let v = f x in
-             Progress.tick t.progress ~hit:false;
-             v))
-        xs)
 
 (* A probed cell: either already answered by the cache, or still to
    compute under its key. *)
@@ -83,65 +61,53 @@ let supervised t ~obs ~codec f (key, x) =
     | None -> ()
     | Some c -> Cache.store c ~key (codec.encode v))
   | Error _ -> Hcv_obs.Trace.vol obs "resilience.quarantined" 1.0);
-  Progress.tick t.progress ~hit:false;
   r
 
-let sweep t ?(label = "sweep") ?(obs = Hcv_obs.Trace.null) ~codec f xs =
-  Progress.stage_begin t.progress label;
-  Fun.protect
-    ~finally:(fun () -> Progress.stage_end t.progress)
-    (fun () ->
-      let probes =
-        List.map
-          (fun x ->
-            let key = codec.cell_key x in
-            match t.cache with
-            | None -> Todo (key, x)
-            | Some c -> (
-              match Cache.find c key with
-              | None -> Todo (key, x)
-              | Some s -> (
-                match codec.decode s with
-                | Some v ->
-                  Progress.tick t.progress ~hit:true;
-                  Hit v
-                | None ->
-                  (* Corrupt or stale value: recompute the cell. *)
-                  Cache.demote_hit c;
-                  Todo (key, x))))
-          xs
-      in
-      let todo =
-        List.filter_map
-          (function Todo (k, x) -> Some (k, x) | Hit _ -> None)
-          probes
-      in
-      (* Cells served vs computed are cache-state-dependent, so they are
-         volatile gauges; only the total cell count is a deterministic
-         counter. *)
-      Hcv_obs.Trace.add obs "cells" (List.length xs);
-      Hcv_obs.Trace.vol obs "cache.hits"
-        (float_of_int (List.length xs - List.length todo));
-      Hcv_obs.Trace.vol obs "cache.computed"
-        (float_of_int (List.length todo));
-      let computed =
-        Pool.map t.pool
-          (timed_on_worker obs (supervised t ~obs ~codec f))
-          todo
-      in
-      (* Re-assemble in submission order. *)
-      let rec zip probes computed =
-        match probes with
-        | [] ->
-          assert (computed = []);
-          []
-        | Hit v :: rest -> Ok v :: zip rest computed
-        | Todo _ :: rest -> (
-          match computed with
-          | v :: vs -> v :: zip rest vs
-          | [] -> assert false)
-      in
-      zip probes computed)
+let sweep t ?(obs = Hcv_obs.Trace.null) ~codec f xs =
+  let probes =
+    List.map
+      (fun x ->
+        let key = codec.cell_key x in
+        match t.cache with
+        | None -> Todo (key, x)
+        | Some c -> (
+          match Cache.find c key with
+          | None -> Todo (key, x)
+          | Some s -> (
+            match codec.decode s with
+            | Some v -> Hit v
+            | None ->
+              (* Corrupt or stale value: recompute the cell. *)
+              Cache.demote_hit c;
+              Todo (key, x))))
+      xs
+  in
+  let todo =
+    List.filter_map
+      (function Todo (k, x) -> Some (k, x) | Hit _ -> None)
+      probes
+  in
+  (* Cells served vs computed are cache-state-dependent, so they are
+     volatile gauges; only the total cell count is a deterministic
+     counter. *)
+  Hcv_obs.Trace.add obs "cells" (List.length xs);
+  Hcv_obs.Trace.vol obs "cache.hits"
+    (float_of_int (List.length xs - List.length todo));
+  Hcv_obs.Trace.vol obs "cache.computed" (float_of_int (List.length todo));
+  let computed =
+    Pool.map t.pool (timed_on_worker obs (supervised t ~obs ~codec f)) todo
+  in
+  (* Re-assemble in submission order. *)
+  let rec zip probes computed =
+    match probes with
+    | [] ->
+      assert (computed = []);
+      []
+    | Hit v :: rest -> Ok v :: zip rest computed
+    | Todo _ :: rest -> (
+      match computed with v :: vs -> v :: zip rest vs | [] -> assert false)
+  in
+  zip probes computed
 
 let shutdown t =
   Fun.protect

@@ -4,17 +4,19 @@
     function.  The engine (a) distributes the cells over a fixed
     {!Pool} of worker domains, (b) memoises each cell's result in a
     persistent {!Cache} keyed by a content hash of the cell's inputs,
-    (c) feeds per-stage telemetry to a {!Progress} reporter, and
-    (d) {e supervises} every cell: a raising task is retried under a
-    bounded-backoff {!Hcv_resilience.Retry} policy and, if it keeps
-    failing, quarantined as a structured [Diag] in its own result slot
-    while every healthy cell completes — one poisoned cell can no
-    longer abort a whole fan-out.
+    (c) reports each sweep on the {!Hcv_obs.Trace} span it is given
+    (cells, cache hits and computed cells, per-worker busy time; the
+    span's own wall clock times the stage), and (d) {e supervises}
+    every cell: a raising task is retried under a bounded-backoff
+    {!Hcv_resilience.Retry} policy and, if it keeps failing,
+    quarantined as a structured [Diag] in its own result slot while
+    every healthy cell completes — one poisoned cell can no longer
+    abort a whole fan-out.
 
     Determinism contract: results come back in submission order and
-    workers never share mutable state, so the output of {!sweep} and
-    {!map} is identical to the serial [List.map] for any worker count
-    and any mix of cache hits — which is what lets a bench assert
+    workers never share mutable state, so the output of {!sweep} is
+    identical to the serial [List.map] for any worker count and any
+    mix of cache hits — which is what lets a bench assert
     byte-identical tables between [--jobs 1] and [--jobs N], and
     between cold and warm caches.  Faults recovered by retry leave the
     output untouched too (the [hcvliw chaos] command pins this).
@@ -37,26 +39,16 @@ type ('a, 'b) codec = {
 }
 
 val create :
-  ?jobs:int -> ?cache:Cache.t -> ?progress:Progress.t
-  -> ?policy:Hcv_resilience.Retry.policy -> unit -> t
-(** [jobs] defaults to 1 (serial); [cache] to no memoisation;
-    [progress] to a silent reporter; [policy] to
-    {!Hcv_resilience.Retry.default_policy} (3 attempts, doubling
+  ?jobs:int -> ?cache:Cache.t -> ?policy:Hcv_resilience.Retry.policy
+  -> unit -> t
+(** [jobs] defaults to 1 (serial); [cache] to no memoisation; [policy]
+    to {!Hcv_resilience.Retry.default_policy} (3 attempts, doubling
     backoff from 1 ms). *)
 
 val jobs : t -> int
 val cache : t -> Cache.t option
-val progress : t -> Progress.t
 
-val map :
-  t -> ?label:string -> ?obs:Hcv_obs.Trace.span -> ('a -> 'b) -> 'a list
-  -> 'b list
-(** Parallel deterministic map, no memoisation, no supervision (one
-    telemetry stage; an exception propagates as in {!Pool.map}).  With
-    [?obs] the stage reports a deterministic ["cells"] counter and
-    per-worker busy-time gauges into the span. *)
-
-val sweep : t -> ?label:string -> ?obs:Hcv_obs.Trace.span
+val sweep : t -> ?obs:Hcv_obs.Trace.span
   -> codec:('a, 'b) codec -> ('a -> 'b) -> 'a list
   -> ('b, Hcv_obs.Diag.t) result list
 (** Memoised, supervised parallel map: cells whose key is in the cache

@@ -1,6 +1,7 @@
-(** A minimal self-contained JSON reader/writer for the result cache
-    and the telemetry export (the toolchain has no JSON library and the
-    build must not grow dependencies).
+(** A minimal self-contained JSON reader/writer for the result cache,
+    machine descriptions, the trace export and the serve wire protocol
+    (the toolchain has no JSON library and the build must not grow
+    dependencies).
 
     Floats are printed with 17 significant digits, which round-trips
     every finite IEEE-754 double exactly — cache replays must reproduce

@@ -11,8 +11,6 @@ type t = {
    that only workers can run. *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 let create ?(jobs = 1) () =
   let n_jobs = max 1 jobs in
   let q = Workq.create () in

@@ -22,9 +22,6 @@ val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val map_outcome :
   t -> ('a -> 'b) -> 'a list
   -> ('b, exn * Printexc.raw_backtrace) result list

@@ -3,7 +3,6 @@ open Hcv_support
 type policy = { max_attempts : int; backoff_s : float; jitter : float }
 
 let default_policy = { max_attempts = 3; backoff_s = 0.001; jitter = 0.5 }
-let no_retry = { max_attempts = 1; backoff_s = 0.0; jitter = 0.0 }
 
 (* FNV-1a over the label bytes: the jitter stream of a task is a pure
    function of its label (the engine passes the cell key), so two runs

@@ -28,10 +28,6 @@ type policy = {
 val default_policy : policy
 (** 3 attempts, 1 ms base backoff, 0.5 jitter. *)
 
-val no_retry : policy
-(** 1 attempt: supervision (failures become diagnostics) without
-    retries. *)
-
 val schedule : ?policy:policy -> label:string -> unit -> float list
 (** The exact sleeps (seconds) [run] would take between attempts for
     this label, in order — [max_attempts - 1] entries.  Pure: equal

@@ -154,8 +154,8 @@ let handle t ?(obs = Hcv_obs.Trace.null) envelopes =
             | Error _ | Ok _ -> ());
             Hashtbl.replace results key r)
           unique
-          (E.Engine.sweep t.engine ~label:"serve" ~obs:sp
-             ~codec:Registry.codec Registry.run unique);
+          (E.Engine.sweep t.engine ~obs:sp ~codec:Registry.codec
+             Registry.run unique);
       let lines =
         List.map
           (function

@@ -35,8 +35,8 @@
 type t
 
 val create : ?default_deadline_ms:int -> Hcv_explore.Engine.t -> t
-(** Wrap an existing engine (pool, cache, retry policy, progress).  The
-    caller owns the engine's lifecycle; {!shutdown} delegates to it.
+(** Wrap an existing engine (pool, cache, retry policy).  The caller
+    owns the engine's lifecycle; {!shutdown} delegates to it.
     [?default_deadline_ms] is compiled onto every run request that does
     not carry its own ["deadline_ms"] (default: none). *)
 

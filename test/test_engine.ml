@@ -43,16 +43,6 @@ let oks rs =
       | Error d -> Alcotest.failf "unexpected quarantine: %s" (Hcv_obs.Diag.to_string d))
     rs
 
-let test_map_matches_serial () =
-  List.iter
-    (fun jobs ->
-      with_engine ~jobs (fun e ->
-          Alcotest.(check (list (pair int int)))
-            (Printf.sprintf "map jobs=%d" jobs)
-            expected
-            (Engine.map e (fun x -> (x, x * x)) xs)))
-    [ 1; 3 ]
-
 let test_warm_cache_computes_nothing () =
   let cache = Cache.in_memory () in
   with_engine ~cache (fun e ->
@@ -108,6 +98,27 @@ let test_sweep_parallel_matches_serial () =
     with_engine ~jobs:4 ~cache (fun e -> oks (Engine.sweep e ~codec square xs))
   in
   Alcotest.(check (list (pair int int))) "jobs=4 equals jobs=1" serial parallel
+
+(* The daemon keeps one engine for its whole life and runs one sweep
+   per batch, so a sweep must leave nothing behind: live heap words
+   after 20,000 warm sweeps stay where they were after the first
+   2,000. *)
+let test_warm_sweeps_retain_nothing () =
+  let cache = Cache.in_memory () in
+  with_engine ~cache (fun e ->
+      ignore (oks (Engine.sweep e ~codec square [ 1 ]));
+      let live_after n =
+        for _ = 1 to n do
+          ignore (Engine.sweep e ~codec square [ 1 ])
+        done;
+        Gc.full_major ();
+        (Gc.quick_stat ()).Gc.live_words
+      in
+      let before = live_after 2_000 in
+      let growth = live_after 18_000 - before in
+      if growth >= 1_000 then
+        Alcotest.failf "18,000 warm sweeps grew the live heap by %d words"
+          growth)
 
 (* ----- supervised execution ---------------------------------------- *)
 
@@ -207,7 +218,6 @@ let test_real_exception_quarantined () =
 
 let suite =
   [
-    Alcotest.test_case "map matches serial" `Quick test_map_matches_serial;
     Alcotest.test_case "warm cache computes nothing" `Quick
       test_warm_cache_computes_nothing;
     Alcotest.test_case "decode failure recomputes" `Quick
@@ -216,6 +226,8 @@ let suite =
       test_resume_from_partial_cache;
     Alcotest.test_case "parallel sweep equals serial" `Quick
       test_sweep_parallel_matches_serial;
+    Alcotest.test_case "warm sweeps retain nothing" `Quick
+      test_warm_sweeps_retain_nothing;
     Alcotest.test_case "transient fault retried away" `Quick
       test_transient_fault_recovered;
     Alcotest.test_case "permanent fault quarantined per cell" `Quick
