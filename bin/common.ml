@@ -52,14 +52,29 @@ let loops = loops_arg Arg.(some ~none:"per-spec" int) None
    their populations small to stay fast. *)
 let fixed_loops n = loops_arg Arg.int n
 
+(* An integer in [lo..hi], refused as a usage error before anything
+   runs: the ranges the wire protocol enforces. *)
+let int_in lo hi =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when lo <= n && n <= hi -> Ok n
+    | _ ->
+      Error (`Msg (Printf.sprintf "%S is not an integer in %d..%d" s lo hi))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let buses =
-  Arg.(value & opt int 1 & info [ "buses" ] ~doc:"Number of register buses.")
+  Arg.(
+    value & opt (int_in 1 8) 1
+    & info [ "buses" ] ~doc:"Number of register buses (1..8).")
 
 let steps =
   Arg.(
-    value & opt (some int) None
+    value
+    & opt (some (int_in 1 E.Machdesc.max_grid_steps)) None
     & info [ "steps" ]
-        ~doc:"Frequency-grid steps (default: unrestricted frequencies).")
+        ~doc:"Frequency-grid steps, 1..64 (default: unrestricted \
+              frequencies).")
 
 let cache =
   Arg.(

@@ -191,7 +191,7 @@ let frontier_cmd =
       Sweep.cell ~buses ?n_loops ~seed ?grid_steps:steps ~frontier:spec name
     in
     let cells = List.map cell names in
-    with_engine ?cache_dir:cache ~jobs (fun ~cache:_ engine ->
+    with_engine ?cache_dir:cache ~jobs (fun ~cache engine ->
         let outcomes =
           with_obs ~trace ~metrics "frontier" (fun obs ->
               Sweep.run engine ~label:"frontier" ~obs ~loops_of cells)
@@ -228,6 +228,7 @@ let frontier_cmd =
               (fun () -> output_string oc body)
           end);
         Format.printf "%a@?" Frontier_report.pp_report fronts;
+        Option.iter print_cache_stats cache;
         (* --schedule-corner: run the chosen non-ED2 corner through the
            actual scheduler, so the report shows measured behaviour, not
            just the selection model's predictions. *)
@@ -320,7 +321,7 @@ let families_cmd =
             names)
         machines
     in
-    with_engine ?cache_dir:cache ~jobs (fun ~cache:_ engine ->
+    with_engine ?cache_dir:cache ~jobs (fun ~cache engine ->
         let outcomes =
           ref
             (with_obs ~trace ~metrics "families" (fun obs ->
@@ -348,7 +349,8 @@ let families_cmd =
               Tablefmt.add_row t
                 [ label; "mean"; Tablefmt.cell_f (mean_ed2 ok); "-"; "-"; "-" ])
           machines;
-        Tablefmt.print t)
+        Tablefmt.print t;
+        Option.iter print_cache_stats cache)
   in
   Cmd.v
     (Cmd.info "families"

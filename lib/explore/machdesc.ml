@@ -27,6 +27,11 @@ let ( let* ) = Result.bind
 
 let err fmt = Format.kasprintf (fun msg -> Error msg) fmt
 
+(* Selection time is linear in a grid's steps, so every boundary a grid
+   arrives through caps them; 64 is four times Figure 7's densest
+   grid. *)
+let max_grid_steps = 64
+
 let int_field ?default j k =
   match J.member k j with
   | None -> (
@@ -78,6 +83,8 @@ let grid_of_json = function
   | Some (J.Obj _ as j) -> (
     let* steps = int_field j "steps" in
     if steps < 1 then err "grid \"steps\" must be >= 1"
+    else if steps > max_grid_steps then
+      err "grid \"steps\" must be at most %d" max_grid_steps
     else
       match Option.bind (J.member "kind" j) J.str with
       | Some "uniform" ->

@@ -9,6 +9,10 @@
 
 open Hcv_machine
 
+val max_grid_steps : int
+(** 64: the most frequency-grid steps a description, a request's
+    ["grid_steps"] or the CLI's [--steps] may ask for. *)
+
 val of_json : Jsonx.t -> (Machine.t, string) result
 val of_string : string -> (Machine.t, string) result
 

@@ -30,6 +30,14 @@ let parse_int lnum what s =
   | Some v -> v
   | None -> fail lnum "invalid %s %S" what s
 
+(* Edge distances and latencies are refused here, at their line, rather
+   than by the DDG builder's invariant check. *)
+let parse_nat lnum what s =
+  match int_of_string_opt s with
+  | Some v when v >= 0 -> v
+  | Some _ -> fail lnum "%s must be non-negative, got %s" what s
+  | None -> fail lnum "invalid %s %S" what s
+
 let parse_float lnum what s =
   match float_of_string_opt s with
   | Some v -> v
@@ -105,8 +113,8 @@ let parse text =
             | Some other -> fail lnum "unknown edge kind %S" other
           in
           Ddg.Builder.add_edge pl.builder ?kind
-            ?distance:(Option.map (parse_int lnum "dist") (lookup_opt opts "dist"))
-            ?latency:(Option.map (parse_int lnum "lat") (lookup_opt opts "lat"))
+            ?distance:(Option.map (parse_nat lnum "dist") (lookup_opt opts "dist"))
+            ?latency:(Option.map (parse_nat lnum "lat") (lookup_opt opts "lat"))
             (resolve src) (resolve dst)
         | "edge" :: _, Some _ ->
           fail lnum "edge expects: edge <src> <dst> [dist N] [lat N] [kind K]"

@@ -10,13 +10,6 @@ type t = {
   mutable shed : int;
   mutable deadline_exceeded : int;
   mutable drained : int;
-  (* Quarantined content keys: a key whose sweep cell the retry
-     supervisor gave up on fast-fails here until restart, instead of
-     burning the pool re-quarantining it on every identical request.
-     Only engine quarantines land in it (never pipeline or budget
-     outcomes), so a fault-free daemon never opens a circuit and the
-     byte-determinism contract for clean requests is untouched. *)
-  breaker : (string, Diag.t) Hashtbl.t;
   mutable gauges : unit -> (string * float) list;
   started_at : float;
 }
@@ -30,7 +23,6 @@ let create ?default_deadline_ms engine =
     shed = 0;
     deadline_exceeded = 0;
     drained = 0;
-    breaker = Hashtbl.create 16;
     gauges = (fun () -> []);
     started_at = Unix.gettimeofday ();
   }
@@ -41,24 +33,38 @@ let served t = t.served
 let errors t = t.errors
 let shed t = t.shed
 let drained t = t.drained
-let breaker_open t = Hashtbl.length t.breaker
 
-let note_shed t = t.shed <- t.shed + 1
 let note_drained t = t.drained <- t.drained + 1
 let set_gauges t f = t.gauges <- f
 
-(* Fill in the server-side deadline default before admission, so the
-   registry compiles and renders the work the daemon actually ran. *)
-let with_default_deadline t (w : Proto.work) =
-  match (w.Proto.deadline_ms, t.default_deadline_ms) with
-  | None, Some d -> { w with Proto.deadline_ms = Some d }
-  | _ -> w
+(* ----- the one answer path ------------------------------------------ *)
 
-let circuit_open_diag ~key d =
-  Diag.v ~stage:"serve" ~code:"circuit-open"
-    ~context:[ ("key", key); ("cause", Diag.code d) ]
-    "circuit open: an identical request was quarantined this run; \
-     fast-failing instead of re-executing it"
+(* Every line the daemon answers is rendered and counted by [refuse] or
+   [reply], from the Diag or result already in hand. *)
+let refuse t ?id d =
+  t.served <- t.served + 1;
+  t.errors <- t.errors + 1;
+  (match Diag.code d with
+  | "overloaded" -> t.shed <- t.shed + 1
+  | "deadline-exceeded" -> t.deadline_exceeded <- t.deadline_exceeded + 1
+  | _ -> ());
+  Proto.error_line ~id d
+
+let reply t ~id ~op = function
+  | Ok result ->
+    t.served <- t.served + 1;
+    Proto.ok_line ~id ~op ?result ()
+  | Error d -> refuse t ~id d
+
+(* An exception escaping admission is a defect, not an input condition;
+   it answers its own request, and its text is a function of the line,
+   so the answer still is too. *)
+let internal_diag e =
+  Diag.v ~stage:"serve" ~code:"internal"
+    ~context:[ ("exn", Printexc.to_string e) ]
+    "internal error while admitting the request"
+
+(* ----- stats -------------------------------------------------------- *)
 
 let volatile_json t =
   J.Obj
@@ -68,7 +74,6 @@ let volatile_json t =
         ("shed", J.Num (float_of_int t.shed));
         ("deadline_exceeded", J.Num (float_of_int t.deadline_exceeded));
         ("drained", J.Num (float_of_int t.drained));
-        ("breaker_open", J.Num (float_of_int (Hashtbl.length t.breaker)));
       ])
 
 let stats_json t =
@@ -93,66 +98,53 @@ let stats_json t =
       ("volatile", volatile_json t);
     ]
 
-(* One slot per envelope: either an already-rendered control response,
-   or an admitted run task waiting for its sweep result. *)
+(* ----- batches ------------------------------------------------------ *)
+
+(* Fill in the server-side deadline default before admission, so the
+   registry compiles and renders the work the daemon actually ran. *)
+let with_default_deadline t (w : Proto.work) =
+  match (w.Proto.deadline_ms, t.default_deadline_ms) with
+  | None, Some d -> { w with Proto.deadline_ms = Some d }
+  | _ -> w
+
+(* One slot per envelope: an answer already rendered (control op,
+   refused admission), or an admitted task waiting for its sweep
+   result. *)
 type slot =
   | Done of string
-  | Pending of { id : string; work : Proto.work; key : string }
-
-(* Responses are rendered by this module, so they always re-parse. *)
-let error_code line =
-  match Proto.parse_response line with
-  | Ok { Proto.ok = true; _ } -> None
-  | Ok { Proto.error = Some d; _ } -> Some (Diag.code d)
-  | Ok { Proto.error = None; _ } | Error _ -> Some "unparseable"
-
-(* Codes the engine's supervisor quarantines a cell with (as opposed to
-   a pipeline completing with a failure outcome). *)
-let quarantine_code = function
-  | "task-failed" | "injected-fault" -> true
-  | _ -> false
+  | Pending of { id : string; op : string; task : Registry.task }
 
 let handle t ?(obs = Hcv_obs.Trace.null) envelopes =
   Hcv_obs.Trace.span obs "batch" (fun sp ->
-      let tasks = Hashtbl.create 16 in
-      (* first-occurrence submission order, for the engine fan-out *)
-      let order = ref [] in
+      let errors0 = t.errors and deadlines0 = t.deadline_exceeded in
+      let keys = Hashtbl.create 16 in
+      (* first occurrence of each key, in submission order, for the
+         engine fan-out *)
+      let unique = ref [] in
       let slots =
         List.map
           (fun { Proto.id; req } ->
+            let op = Proto.op_name req in
             match req with
-            | Proto.Ping -> Done (Proto.ok_line ~id ~op:"ping" ())
-            | Proto.Shutdown -> Done (Proto.ok_line ~id ~op:"shutdown" ())
-            | Proto.Stats ->
-              Done (Proto.ok_line ~id ~op:"stats" ~result:(stats_json t) ())
+            | Proto.Ping | Proto.Shutdown -> Done (reply t ~id ~op (Ok None))
+            | Proto.Stats -> Done (reply t ~id ~op (Ok (Some (stats_json t))))
             | Proto.Run work -> (
-              let work = with_default_deadline t work in
-              match Registry.admit work with
-              | Error d -> Done (Proto.error_line ~id:(Some id) d)
-              | Ok task -> (
-                let key = Registry.key task in
-                match Hashtbl.find_opt t.breaker key with
-                | Some d ->
-                  Done (Proto.error_line ~id:(Some id) (circuit_open_diag ~key d))
-                | None ->
-                  if not (Hashtbl.mem tasks key) then begin
-                    Hashtbl.replace tasks key task;
-                    order := key :: !order
-                  end;
-                  Pending { id; work; key })))
+              match Registry.admit (with_default_deadline t work) with
+              | Ok task ->
+                if not (Hashtbl.mem keys task.Registry.key) then begin
+                  Hashtbl.replace keys task.Registry.key ();
+                  unique := task :: !unique
+                end;
+                Pending { id; op; task }
+              | Error d -> Done (refuse t ~id d)
+              | exception e -> Done (refuse t ~id (internal_diag e))))
           envelopes
       in
-      let unique = List.rev_map (Hashtbl.find tasks) !order in
+      let unique = List.rev !unique in
       let results = Hashtbl.create 16 in
       if unique <> [] then
         List.iter2
-          (fun task r ->
-            let key = Registry.key task in
-            (match r with
-            | Error d when quarantine_code (Diag.code d) ->
-              Hashtbl.replace t.breaker key d
-            | Error _ | Ok _ -> ());
-            Hashtbl.replace results key r)
+          (fun task r -> Hashtbl.replace results task.Registry.key r)
           unique
           (E.Engine.sweep t.engine ~obs:sp ~codec:Registry.codec
              Registry.run unique);
@@ -160,37 +152,27 @@ let handle t ?(obs = Hcv_obs.Trace.null) envelopes =
         List.map
           (function
             | Done line -> line
-            | Pending { id; work; key } ->
-              Registry.response_line ~id work (Hashtbl.find results key))
+            | Pending { id; op; task } ->
+              Hashtbl.find results task.Registry.key
+              |> Registry.answer task.Registry.work
+              |> Result.map Option.some |> reply t ~id ~op)
           slots
       in
-      let errs = List.length (List.filter_map error_code lines) in
-      let deadlines =
-        List.length
-          (List.filter
-             (fun l -> error_code l = Some "deadline-exceeded")
-             lines)
-      in
-      t.served <- t.served + List.length lines;
-      t.errors <- t.errors + errs;
-      t.deadline_exceeded <- t.deadline_exceeded + deadlines;
       Hcv_obs.Trace.add sp "serve.requests" (List.length lines);
-      Hcv_obs.Trace.add sp "serve.errors" errs;
+      Hcv_obs.Trace.add sp "serve.errors" (t.errors - errors0);
       Hcv_obs.Trace.add sp "serve.unique_cells" (List.length unique);
       (* Overload tallies are run-dependent under chaos (how many
          requests a slow client got shed, which retries hit a deadline),
          so they ride the volatile side of the trace: the deterministic
          view stays byte-stable across adversarial runs. *)
+      let deadlines = t.deadline_exceeded - deadlines0 in
       if deadlines > 0 then
         Hcv_obs.Trace.vol sp "serve.deadline_exceeded" (float_of_int deadlines);
       lines)
 
 let handle_line t ?obs line =
   match Proto.parse line with
-  | Error (id, d) ->
-    t.served <- t.served + 1;
-    t.errors <- t.errors + 1;
-    Proto.error_line ~id d
+  | Error (id, d) -> refuse t ?id d
   | Ok envelope -> (
     match handle t ?obs [ envelope ] with
     | [ l ] -> l

@@ -1,36 +1,38 @@
-(** The batched dispatcher: every request path of the daemon funnels
-    through one of these, wrapping one shared {!Hcv_explore.Engine}
-    (worker pool + persistent result cache + retry supervision).
+(** The batched dispatcher and the daemon's one answer path: every line
+    the daemon answers becomes a response here, wrapping one shared
+    {!Hcv_explore.Engine} (worker pool + persistent result cache + retry
+    supervision).
 
     {!handle} answers a batch of parsed requests: control ops inline,
-    run ops admitted through the {!Registry}, deduplicated by content
-    key (concurrent identical requests are computed once), and
-    dispatched to the engine as a single supervised sweep — so a batch
-    inherits the engine's whole contract: parallel across the pool,
-    memoised in the shared warm cache, failures quarantined per
-    request.  One malformed, failing or budget-exhausted request turns
-    into one error line; it never affects another request or the
-    daemon.
+    run ops admitted and keyed once through the {!Registry},
+    deduplicated by content key (concurrent identical requests are
+    computed once), and dispatched to the engine as a single supervised
+    sweep — so a batch inherits the engine's whole contract: parallel
+    across the pool, memoised in the shared warm cache, failures
+    quarantined per request.  The lines the socket loop answers without
+    dispatching them (parse errors, oversized lines, sheds) go through
+    {!refuse}.  Both render each answer from the result or
+    {!Hcv_obs.Diag.t} already in hand and count it; nothing re-parses a
+    rendered response.  One malformed, failing or budget-exhausted
+    request turns into one error line; it never affects another request
+    or the daemon — an exception escaping admission answers its own
+    request with a structured [internal] error (the exception text in
+    its context) and the rest of the batch carries on.
 
     {2 Overload semantics}
 
     A request whose deadline (explicit ["deadline_ms"], or the
     [?default_deadline_ms] the dispatcher fills in) bounds less work
     than the workload needs is answered [deadline-exceeded] — or, with
-    ["degrade":true], with the estimate-fallback result.  A content key
-    the engine's supervisor quarantined trips a {e circuit breaker}:
-    until restart, identical requests fast-fail with [circuit-open]
-    (context: the key and the original code) instead of re-executing a
-    known-bad cell.  Only genuine quarantines ([task-failed] /
-    [injected-fault]) open circuits — budget/deadline exhaustion and
-    pipeline failures never do, so a fault-free daemon never trips one.
+    ["degrade":true], with the estimate-fallback result.
 
     Determinism: the response line of a run request depends only on the
     request's content — not on the batch it arrived in, the worker
-    count, or the cache state — which is what lets a load generator
-    byte-compare concurrent warm runs against a sequential cold one.
-    (The one carve-out is [circuit-open], which by design remembers a
-    quarantine; fault-free runs never produce one.) *)
+    count, the cache state or what the daemon answered before — which
+    is what lets a load generator byte-compare concurrent warm runs
+    against a sequential cold one.  There is no carve-out: an identical
+    repeat of a request the engine quarantined is computed again under
+    the engine's retry policy. *)
 
 type t
 
@@ -53,27 +55,26 @@ val handle :
 
 val handle_line : t -> ?obs:Hcv_obs.Trace.span -> string -> string
 (** Parse one raw request line and answer it ({!Proto.parse} errors
-    included) — the single-request path used by benches and tests. *)
+    through {!refuse}) — the single-request path used by benches and
+    tests. *)
+
+val refuse : t -> ?id:string -> Hcv_obs.Diag.t -> string
+(** Render and count the error response for a line answered without
+    being dispatched: a {!Proto.parse} error, an oversized line or a
+    shed request ([id] when one could be salvaged). *)
 
 val served : t -> int
-(** Requests answered so far (errors included; shed requests are
-    answered by the server before reaching the dispatcher and are NOT
-    counted here — see {!shed}). *)
+(** Lines answered so far: every {!handle} envelope, every
+    {!handle_line} and every {!refuse}d line, errors included. *)
 
 val errors : t -> int
+(** The error answers among {!served}. *)
 
 val shed : t -> int
-(** Requests the server shed with [overloaded] ({!note_shed}). *)
+(** The [overloaded] answers among {!errors} (volatile). *)
 
 val drained : t -> int
-(** Requests answered during graceful drain ({!note_drained}). *)
-
-val breaker_open : t -> int
-(** Content keys currently fast-failing with [circuit-open]. *)
-
-val note_shed : t -> unit
-(** The server records each load-shed request here (the shed response
-    itself is rendered at the socket layer, bypassing {!handle}). *)
+(** Lines answered during graceful drain ({!note_drained}; volatile). *)
 
 val note_drained : t -> unit
 
@@ -85,8 +86,8 @@ val set_gauges : t -> (unit -> (string * float) list) -> unit
 val stats_json : t -> Hcv_explore.Jsonx.t
 (** The ["stats"] op's result object: served/error counters, worker
     count, cache statistics, plus a nested ["volatile"] object
-    (uptime, registered gauges, shed/deadline/drain tallies, open
-    circuits) that two runs legitimately disagree on. *)
+    (uptime, registered gauges, shed/deadline/drain tallies) that two
+    runs legitimately disagree on. *)
 
 val shutdown : t -> unit
 (** Join the engine's workers and close the cache.  Idempotent. *)

@@ -62,6 +62,13 @@ let pos_field ?id j k =
     | Some n when n > 0 -> Ok (Some n)
     | Some _ | None -> bad ?id "field %S must be a positive integer" k)
 
+(* A positive [int] field with an upper bound: the sizes the daemon
+   allocates or iterates over are capped at the boundary. *)
+let bounded_field ?id ~max j k =
+  match pos_field ?id j k with
+  | Ok (Some n) when n > max -> bad ?id "field %S must be 1..%d" k max
+  | r -> r
+
 (* Like [pos_field] but admitting zero: a zero deadline is the
    fast-fail probe ("answer with whatever you already have"). *)
 let nonneg_field ?id j k =
@@ -94,20 +101,23 @@ let parse_machine ?id j =
       "field \"machine\" must be a family name or a description object"
 
 let parse_spec ?id j =
-  match pos_field ?id j "buses" with
+  match bounded_field ?id ~max:8 j "buses" with
   | Error e -> Error e
   | Ok buses -> (
     let buses = Option.value buses ~default:1 in
-    if buses > 8 then bad ?id "field \"buses\" must be 1..8"
-    else
-      match pos_field ?id j "grid_steps" with
+    match
+      bounded_field ?id ~max:Hcv_explore.Machdesc.max_grid_steps j "grid_steps"
+    with
+    | Error e -> Error e
+    | Ok grid_steps -> (
+      match parse_machine ?id j with
       | Error e -> Error e
-      | Ok grid_steps -> (
-        match parse_machine ?id j with
-        | Error e -> Error e
-        | Ok machine -> Ok { buses; grid_steps; machine }))
+      | Ok machine -> Ok { buses; grid_steps; machine }))
 
-let parse_run ?id ?(frontier = None) ~name ~source j =
+(* Four times the 16 loops per benchmark any caller asks for by default. *)
+let max_loops = 64
+
+let parse_run ?id ?frontier ~name ~source j =
   match parse_spec ?id j with
   | Error e -> Error e
   | Ok spec -> (
@@ -150,37 +160,25 @@ let parse line =
         | Some "ping" -> ret (Ok Ping)
         | Some "stats" -> ret (Ok Stats)
         | Some "shutdown" -> ret (Ok Shutdown)
-        | Some "explore" -> (
+        | Some (("explore" | "frontier") as op) -> (
           match str_field j "bench" with
-          | None ->
-            ret (bad ~id "op \"explore\" needs a string \"bench\"")
-          | Some bench ->
-            let seed = Option.value (int_field j "seed") ~default:42 in
-            ret
-              (match pos_field ~id j "loops" with
-              | Error e -> Error e
-              | Ok n_loops ->
-                parse_run ~id ~name:bench
-                  ~source:(Bench { bench; seed; n_loops })
-                  j))
-        | Some "frontier" -> (
-          match str_field j "bench" with
-          | None ->
-            ret (bad ~id "op \"frontier\" needs a string \"bench\"")
+          | None -> ret (bad ~id "op %S needs a string \"bench\"" op)
           | Some bench -> (
-            (* "objectives"/"caps" ride at the top level of the request
-               object; both default as in Frontier.spec. *)
-            match Hcv_core.Frontier.spec_of_json j with
-            | Error msg -> ret (bad ~id "%s" msg)
-            | Ok spec ->
+            (* "objectives"/"caps" ride at the top level of a frontier
+               request object; both default as in Frontier.spec. *)
+            let frontier =
+              if op = "explore" then Ok None
+              else Result.map Option.some (Hcv_core.Frontier.spec_of_json j)
+            in
+            match (frontier, bounded_field ~id ~max:max_loops j "loops") with
+            | Error msg, _ -> ret (bad ~id "%s" msg)
+            | _, Error e -> ret (Error e)
+            | Ok frontier, Ok n_loops ->
               let seed = Option.value (int_field j "seed") ~default:42 in
               ret
-                (match pos_field ~id j "loops" with
-                | Error e -> Error e
-                | Ok n_loops ->
-                  parse_run ~id ~frontier:(Some spec) ~name:bench
-                    ~source:(Bench { bench; seed; n_loops })
-                    j)))
+                (parse_run ~id ?frontier ~name:bench
+                   ~source:(Bench { bench; seed; n_loops })
+                   j)))
         | Some "schedule" -> (
           let name = Option.value (str_field j "name") ~default:"adhoc" in
           match (str_field j "dsl", field j "graph") with

@@ -30,10 +30,10 @@
       as the CLI's frontier sweep cell, so the daemon shares its warm
       cache.
 
-    [explore] options: ["seed"] (default 42), ["loops"] (loop count,
-    default per-spec).  Both run ops take the machine overrides
-    ["buses"] (default 1), ["grid_steps"] (frequency-grid steps,
-    default unrestricted) and ["machine"] (a machine-family name such
+    [explore] options: ["seed"] (default 42), ["loops"] (loop count
+    1..64, default per-spec).  Both run ops take the machine overrides
+    ["buses"] (1..8, default 1), ["grid_steps"] (frequency-grid steps
+    1..64, default unrestricted) and ["machine"] (a machine-family name such
     as ["big-little"], or an inline machine-description object in
     {!Hcv_explore.Machdesc} form; default the paper machine), a work
     cap ["budget"] (default unlimited), a latency bound ["deadline_ms"]

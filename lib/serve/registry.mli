@@ -30,9 +30,13 @@ type task = {
   canonical : string;
       (** canonical DSL rendering of a payload (keys must not depend on
           payload formatting); [""] for [Bench] *)
+  key : string;  (** the content {!key}, computed once by {!admit} *)
 }
 
 val admit : Proto.work -> (task, Hcv_obs.Diag.t) result
+(** Validate and key one run request.  A JSON DDG field of the wrong
+    type is a [bad-graph] error naming it.  Keying resolves the cell's
+    machine, so a description that does not parse raises here. *)
 
 val effective_budget : Proto.work -> int option
 (** The work cap the task actually runs under: the explicit ["budget"]
@@ -52,15 +56,21 @@ val run : task -> Sweep.outcome
 (** One supervised {!Sweep.run_cell} with the task's
     {!effective_budget}. *)
 
-val response_line :
-  id:string -> Proto.work -> (Sweep.outcome, Hcv_obs.Diag.t) result -> string
-(** Render the response for an executed (or quarantined) task:
-    - engine quarantine or pipeline failure: an error line
+val answer :
+  Proto.work -> (Sweep.outcome, Hcv_obs.Diag.t) result
+  -> (Hcv_explore.Jsonx.t, Hcv_obs.Diag.t) result
+(** The answer to an executed (or quarantined) task, before rendering:
+    - engine quarantine or pipeline failure: the error
       ([task-failed] / [injected-fault] / [pipeline-failed]);
     - effective budget exhausted and the request did not opt into
-      degraded results: a [deadline-exceeded] error line when the
-      deadline was the binding constraint (it compiled to a cap no
-      looser than any explicit budget), else [budget-exhausted] —
-      both name the fallback count;
-    - otherwise: the ok line with the result object (exact ["%h"]
-      float forms, fallback causes included when present). *)
+      degraded results: [deadline-exceeded] when the deadline was the
+      binding constraint (it compiled to a cap no looser than any
+      explicit budget), else [budget-exhausted] — both name the
+      fallback count;
+    - otherwise: the ok ["result"] object (exact ["%h"] float forms,
+      fallback causes included when present). *)
+
+val response_line :
+  id:string -> Proto.work -> (Sweep.outcome, Hcv_obs.Diag.t) result -> string
+(** {!answer} rendered as the response line, uncounted; the daemon
+    renders through {!Dispatch}, which also counts. *)

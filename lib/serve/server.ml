@@ -34,7 +34,6 @@ type t = {
   drain_grace_s : float;
   mutable conns : conn list;
   mutable stopping : bool;
-  mutable answered : int;
   mutable drain_deadline : float option;
   mutable blocked_s : float;
       (** cumulative seconds the reactor spent inside [Dispatch.handle],
@@ -103,7 +102,6 @@ let create ?(batch_max = 256) ?(max_line = 1 lsl 20) ?max_requests
       drain_grace_s;
       conns = [];
       stopping = false;
-      answered = 0;
       drain_deadline = None;
       blocked_s = 0.0;
     }
@@ -207,34 +205,40 @@ let read_ready t c =
     | exception Unix.Unix_error _ -> close_conn t c
   end
 
-(* Salvage an id for a shed line the way [Proto.parse] errors do, so
-   the overloaded answer can still be correlated. *)
-let shed_line t c ~queue_depth line =
-  let id =
-    match Proto.parse line with
-    | Ok { Proto.id; _ } -> Some id
-    | Error (id, _) -> id
-  in
-  queue_line c (Proto.error_line ~id (Proto.overloaded_diag ~queue_depth));
-  Dispatch.note_shed t.dispatch;
-  t.answered <- t.answered + 1
+(* The lines the reactor answers without dispatching them are still
+   rendered and counted by the dispatcher. *)
+let refuse t c ?id d = queue_line c (Dispatch.refuse t.dispatch ?id d)
+
+(* Pop [c]'s next framed item; an oversized line is answered in place,
+   a complete one goes to [k]. *)
+let pop t c k =
+  match Frame.pop c.frame with
+  | None -> false
+  | Some (Frame.Oversized n) ->
+    refuse t c (Proto.oversized_diag n);
+    true
+  | Some (Frame.Line line) ->
+    k line;
+    true
 
 (* Admission control: a connection whose complete-line backlog exceeds
    [max_pending] gets the oldest excess answered [overloaded]
    immediately — deterministic shedding that costs no scheduling work,
    keeps per-connection response order, and only ever penalises the
-   flooding connection. *)
+   flooding connection.  The id is salvaged the way [Proto.parse]
+   errors do, so the answer can still be correlated. *)
 let shed_excess t c =
   let depth = Frame.queued c.frame in
-  if depth > t.max_pending then
-    for _ = 1 to depth - t.max_pending do
-      match Frame.pop c.frame with
-      | None -> ()
-      | Some (Frame.Oversized n) ->
-        queue_line c (Proto.error_line ~id:None (Proto.oversized_diag n));
-        t.answered <- t.answered + 1
-      | Some (Frame.Line line) -> shed_line t c ~queue_depth:depth line
-    done
+  for _ = 1 to depth - t.max_pending do
+    ignore
+      (pop t c (fun line ->
+           let id =
+             match Proto.parse line with
+             | Ok { Proto.id; _ } -> Some id
+             | Error (id, _) -> id
+           in
+           refuse t c ?id (Proto.overloaded_diag ~queue_depth:depth)))
+  done
 
 let run ?obs t =
   let finally () =
@@ -248,7 +252,9 @@ let run ?obs t =
     List.exists (fun c -> Frame.queued c.frame > 0) t.conns
   in
   let max_reached () =
-    match t.max_requests with Some m -> t.answered >= m | None -> false
+    match t.max_requests with
+    | Some m -> Dispatch.served t.dispatch >= m
+    | None -> false
   in
   (* Draining: stop accepting and reading, answer every complete line
      already buffered, flush, exit.  [drain_grace_s] bounds how long a
@@ -318,28 +324,18 @@ let run ?obs t =
             List.iter
               (fun c ->
                 let rec drain () =
-                  if !batch_n >= t.batch_max then ()
-                  else
-                    match Frame.pop c.frame with
-                    | None -> ()
-                    | Some (Frame.Oversized n) ->
-                      queue_line c
-                        (Proto.error_line ~id:None (Proto.oversized_diag n));
-                      t.answered <- t.answered + 1;
-                      drain ()
-                    | Some (Frame.Line line) ->
-                      (match Proto.parse line with
-                      | Error (id, d) ->
-                        queue_line c (Proto.error_line ~id d);
-                        t.answered <- t.answered + 1
-                      | Ok ({ Proto.req = Proto.Shutdown; _ } as env) ->
-                        t.stopping <- true;
-                        batch := (c, env) :: !batch;
-                        incr batch_n
-                      | Ok env ->
-                        batch := (c, env) :: !batch;
-                        incr batch_n);
-                      drain ()
+                  if
+                    !batch_n < t.batch_max
+                    && pop t c (fun line ->
+                           match Proto.parse line with
+                           | Error (id, d) -> refuse t c ?id d
+                           | Ok env ->
+                             (match env.Proto.req with
+                             | Proto.Shutdown -> t.stopping <- true
+                             | _ -> ());
+                             batch := (c, env) :: !batch;
+                             incr batch_n)
+                  then drain ()
                 in
                 drain ())
               t.conns;
@@ -354,8 +350,7 @@ let run ?obs t =
               List.iter2
                 (fun (c, _) line ->
                   if not c.closed then queue_line c line;
-                  if was_draining then Dispatch.note_drained t.dispatch;
-                  t.answered <- t.answered + 1)
+                  if was_draining then Dispatch.note_drained t.dispatch)
                 batch lines
             end;
             List.iter

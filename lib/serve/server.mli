@@ -14,7 +14,9 @@
     Per-connection ordering: responses are written in the order the
     connection's requests arrived.  A malformed or oversized line gets
     its error response in the same stream position; it never closes the
-    connection or stops the daemon.
+    connection or stops the daemon.  The lines the loop answers itself
+    (parse errors, oversized lines, sheds) are rendered and counted by
+    {!Dispatch.refuse}, so {!Dispatch.served} counts every answer.
 
     A round takes at most [batch_max] run requests; complete lines left
     queued past the cap are served by immediately following zero-timeout
@@ -73,8 +75,8 @@ val create :
   -> Unix.file_descr -> t
 (** [batch_max] (default 256) caps how many run requests one engine
     fan-out takes; [max_line] (default 1 MiB) is the {!Frame} line
-    bound; [max_requests] (default unlimited) drains the daemon after
-    answering that many requests — the self-terminating mode CI smoke
+    bound; [max_requests] (default unlimited) drains the daemon once
+    {!Dispatch.served} reaches it — the self-terminating mode CI smoke
     jobs use.  Overload knobs (defaults in parentheses):
     [idle_timeout_s] (300) and [slow_timeout_s] (10) reap idle and
     slowloris peers, [max_pending] (512) bounds a connection's

@@ -142,7 +142,9 @@ let div_int t n =
 
 let floor_div a b =
   if b.num = 0 then raise Division_by_zero;
-  if a.den = 1 && b.den = 1 then floordiv a.num b.num
+  if a.den = 1 && b.den = 1 then
+    (* [floordiv] needs a positive divisor *)
+    if b.num < 0 then floordiv (-a.num) (-b.num) else floordiv a.num b.num
   else begin
     (* floor((a.num * b.den) / (a.den * b.num)), gcd-reduced first *)
     let g1 = gcd a.num b.num and g2 = gcd_pos a.den b.den in

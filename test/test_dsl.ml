@@ -62,6 +62,12 @@ let test_errors () =
   (* missing end is reported at EOF (the line after the last) *)
   expect_error "loop l\n  node a add.i\n" 3
 
+(* A negative distance or latency is a parse error at the edge's line,
+   not an exception out of the DDG builder. *)
+let test_negative_edge_fields () =
+  expect_error "loop l\n  node a ld.f\n  node b add.f\n  edge a b dist -1\nend\n" 4;
+  expect_error "loop l\n  node a ld.f\n  node b add.f\n  edge a b lat -5\nend\n" 4
+
 let test_multiple_loops () =
   match
     Dsl.parse "loop a\n node x add.i\nend\nloop b\n node y add.f\nend\n"
@@ -105,6 +111,8 @@ let suite =
     Alcotest.test_case "basic parse" `Quick test_basic;
     Alcotest.test_case "edge options" `Quick test_edge_options;
     Alcotest.test_case "errors with line numbers" `Quick test_errors;
+    Alcotest.test_case "negative edge fields refused" `Quick
+      test_negative_edge_fields;
     Alcotest.test_case "multiple loops" `Quick test_multiple_loops;
     Alcotest.test_case "print/parse roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "generated population roundtrip" `Quick

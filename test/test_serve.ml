@@ -134,7 +134,30 @@ let test_proto_parse () =
   Alcotest.(check (pair (option string) string))
     "bad budget"
     (Some "x", "bad-request")
-    (parse_err {|{"id":"x","op":"explore","bench":"applu","budget":0}|})
+    (parse_err {|{"id":"x","op":"explore","bench":"applu","budget":0}|});
+  (* Sizes are bounded on the wire: each loop is allocated and each
+     grid step scored, so neither may be asked for without limit. *)
+  Alcotest.(check (pair (option string) string))
+    "loops above 64"
+    (Some "x", "bad-request")
+    (parse_err {|{"id":"x","op":"explore","bench":"applu","loops":65}|});
+  Alcotest.(check (pair (option string) string))
+    "grid_steps above 64"
+    (Some "x", "bad-request")
+    (parse_err {|{"id":"x","op":"explore","bench":"applu","grid_steps":65}|});
+  Alcotest.(check (pair (option string) string))
+    "buses above 8"
+    (Some "x", "bad-request")
+    (parse_err {|{"id":"x","op":"explore","bench":"applu","buses":9}|});
+  let e =
+    parse_ok
+      {|{"id":"b","op":"explore","bench":"applu","loops":64,"grid_steps":64}|}
+  in
+  match e.S.Proto.req with
+  | S.Proto.Run w ->
+    Alcotest.(check (option int)) "64 grid steps accepted" (Some 64)
+      w.S.Proto.spec.S.Proto.grid_steps
+  | _ -> Alcotest.fail "expected Run"
 
 let test_proto_machine () =
   (* Absent field: the paper machine. *)
@@ -181,7 +204,12 @@ let test_proto_machine () =
   Alcotest.(check (pair (option string) string))
     "wrong type"
     (Some "x", "bad-request")
-    (parse_err {|{"id":"x","op":"explore","bench":"applu","machine":7}|})
+    (parse_err {|{"id":"x","op":"explore","bench":"applu","machine":7}|});
+  Alcotest.(check (pair (option string) string))
+    "description grid above 64 steps"
+    (Some "x", "bad-request")
+    (parse_err
+       {|{"id":"x","op":"explore","bench":"applu","machine":{"clusters":[{"int":1,"fp":1,"mem":1}],"grid":{"kind":"uniform","steps":65,"top":"20/9"}}}|})
 
 let test_proto_responses () =
   let ok = S.Proto.ok_line ~id:"a" ~op:"ping" () in
@@ -329,6 +357,54 @@ let test_registry_rejections () =
   Alcotest.(check string) "graph with unknown op" "bad-graph"
     (admit_err
        {|{"id":"a","op":"schedule","graph":{"name":"g","trip":8,"nodes":[{"n":"a","op":"frob"}],"edges":[]}}|})
+
+(* A JSON DDG field present with the wrong type, or a negative edge
+   distance or latency in either payload form, is refused by name. *)
+let test_registry_bad_edge_fields () =
+  let diag line =
+    match S.Registry.admit (work_of line) with
+    | Ok _ -> Alcotest.failf "admitted invalid work %S" line
+    | Error d -> d
+  in
+  let graph ?(loop = "") edge =
+    Printf.sprintf
+      {|{"id":"g","op":"schedule","graph":{"name":"g"%s,"nodes":[{"n":"a","op":"ld.f"},{"n":"b","op":"add.f"}],"edges":[{"s":"a","d":"b"%s}]}}|}
+      loop edge
+  in
+  let check_field what line field =
+    let d = diag line in
+    Alcotest.(check string) (what ^ ": code") "bad-graph" (Hcv_obs.Diag.code d);
+    Alcotest.(check (option string)) (what ^ ": names the field") (Some field)
+      (List.assoc_opt "field" d.Hcv_obs.Diag.context)
+  in
+  let d =
+    diag
+      {|{"id":"b","op":"schedule","dsl":"loop acc\n node a ld.f\n node b add.f\n edge a b dist -1\nend\n"}|}
+  in
+  Alcotest.(check string) "dsl negative dist" "bad-dsl" (Hcv_obs.Diag.code d);
+  Alcotest.(check (option string)) "at the edge's line" (Some "4")
+    (List.assoc_opt "line" d.Hcv_obs.Diag.context);
+  Alcotest.(check string) "graph negative dist" "bad-graph"
+    (admit_err (graph {|,"dist":-1|}));
+  Alcotest.(check string) "graph negative lat" "bad-graph"
+    (admit_err (graph {|,"lat":-5|}));
+  check_field "string dist" (graph {|,"dist":"2"|}) "dist";
+  check_field "fractional lat" (graph {|,"lat":1.5|}) "lat";
+  check_field "numeric kind" (graph {|,"kind":3|}) "kind";
+  check_field "kind not a token" (graph {|,"kind":"flow #"|}) "kind";
+  check_field "string trip" (graph ~loop:{|,"trip":"64"|} "") "trip";
+  check_field "string weight" (graph ~loop:{|,"weight":"1"|} "") "weight";
+  check_field "numeric name"
+    {|{"id":"g","op":"schedule","graph":{"name":5,"nodes":[{"n":"a","op":"ld.f"}]}}|}
+    "name";
+  check_field "edges not a list"
+    {|{"id":"g","op":"schedule","graph":{"name":"g","nodes":[{"n":"a","op":"ld.f"}],"edges":{}}}|}
+    "edges";
+  (* The well-typed spelling of the same graph still admits. *)
+  ignore
+    (admit_ok
+       (graph ~loop:{|,"trip":64,"weight":1|}
+          {|,"dist":2,"lat":1,"kind":"flow"|}))
 
 (* ----- deadlines: wire field compiled onto the budget machinery ----- *)
 
@@ -597,12 +673,10 @@ let test_stats_volatile () =
       Alcotest.(check (float 0.0)) "no drains yet" 0.0 (num v0 "drained");
       Alcotest.(check (float 0.0)) "no deadline misses yet" 0.0
         (num v0 "deadline_exceeded");
-      Alcotest.(check (float 0.0)) "no open circuits" 0.0
-        (num v0 "breaker_open");
       Alcotest.(check bool) "uptime present" true (num v0 "uptime_s" >= 0.0);
       (* Tallies and registered gauges feed in live. *)
       S.Dispatch.set_gauges d (fun () -> [ ("queue_depth", 7.0) ]);
-      S.Dispatch.note_shed d;
+      ignore (S.Dispatch.refuse d (S.Proto.overloaded_diag ~queue_depth:9));
       S.Dispatch.note_drained d;
       ignore (S.Dispatch.handle_line d (dsl_line ~deadline_ms:0 ()));
       let v1 = volatile (stats ()) in
@@ -613,33 +687,59 @@ let test_stats_volatile () =
       Alcotest.(check (float 0.0)) "registered gauge" 7.0
         (num v1 "queue_depth"))
 
-let test_circuit_breaker () =
+let test_quarantine_repeat () =
+  let line = dsl_line ~id:"f1" () in
+  let fresh = with_dispatch ~jobs:1 (fun d -> S.Dispatch.handle_line d line) in
   with_dispatch ~jobs:1 (fun d ->
-      (* A persistent injected fault quarantines the cell's content
-         key... *)
+      (* A persistent injected fault quarantines the request... *)
       let plan =
         R.Inject.plan ~seed:5
           [ R.Inject.spec ~max_fires:1 ~transient:false R.Inject.Task_raise ]
       in
       let first =
-        R.Inject.with_plan plan (fun () ->
-            S.Dispatch.handle_line d (dsl_line ~id:"f1" ()))
+        R.Inject.with_plan plan (fun () -> S.Dispatch.handle_line d line)
       in
       Alcotest.(check string) "quarantined" "injected-fault"
         (error_code_of first);
-      Alcotest.(check int) "one open circuit" 1 (S.Dispatch.breaker_open d);
-      (* ... and the breaker fast-fails the identical request even
-         though the fault plan is long disarmed: a known-bad cell is
-         never re-executed. *)
-      Alcotest.(check string) "circuit open" "circuit-open"
-        (error_code_of (S.Dispatch.handle_line d (dsl_line ~id:"f2" ())));
-      (* Distinct content is untouched. *)
+      (* ... and once the fault is gone its identical repeat is computed
+         again: the answer is a function of the line, not of what the
+         daemon answered before. *)
+      Alcotest.(check string) "repeat answered as by a fresh dispatcher"
+        fresh
+        (S.Dispatch.handle_line d line))
+
+(* An exception escaping admission answers its own envelope [internal];
+   the rest of the batch is answered normally. *)
+let test_dispatch_guard () =
+  let w = work_of (dsl_line ~id:"g1" ()) in
+  let broken =
+    {
+      w with
+      S.Proto.spec =
+        { w.S.Proto.spec with S.Proto.machine = S.Proto.Desc "not a machine" };
+    }
+  in
+  with_dispatch ~jobs:1 (fun d ->
       match
-        S.Proto.parse_response
-          (S.Dispatch.handle_line d (dsl_line ~id:"f3" ~budget:100000 ()))
+        S.Dispatch.handle d
+          [
+            { S.Proto.id = "g1"; req = S.Proto.Run broken };
+            parse_ok (dsl_line ~id:"g2" ());
+          ]
       with
-      | Ok { S.Proto.ok = true; _ } -> ()
-      | _ -> Alcotest.fail "breaker must scope to the quarantined key")
+      | [ bad; good ] ->
+        (match S.Proto.parse_response bad with
+        | Ok { S.Proto.rid = Some "g1"; error = Some e; _ } ->
+          Alcotest.(check string) "internal" "internal" (Hcv_obs.Diag.code e);
+          Alcotest.(check bool) "exception text in context" true
+            (List.mem_assoc "exn" e.Hcv_obs.Diag.context)
+        | _ -> Alcotest.failf "expected an internal error, got %s" bad);
+        (match S.Proto.parse_response good with
+        | Ok { S.Proto.ok = true; rid = Some "g2"; _ } -> ()
+        | _ -> Alcotest.failf "the next envelope was not answered: %s" good);
+        Alcotest.(check int) "both counted" 2 (S.Dispatch.served d);
+        Alcotest.(check int) "one error" 1 (S.Dispatch.errors d)
+      | _ -> Alcotest.fail "expected two responses")
 
 (* ----- server: the socket loop end to end -------------------------- *)
 
@@ -683,11 +783,11 @@ let test_server_socket () =
   | Ok { S.Proto.ok = true; rid = Some "bye"; _ } -> ()
   | _ -> Alcotest.fail "shutdown not acknowledged");
   Unix.close fd;
-  (* Parse-level errors are answered by the socket loop itself; the
-     dispatcher sees the three well-formed requests. *)
+  (* Parse-level errors are answered by the socket loop itself, but
+     rendered and counted by the dispatcher like every other line. *)
   let served, errors = Domain.join srv in
-  Alcotest.(check int) "dispatched" 3 served;
-  Alcotest.(check int) "dispatch errors" 0 errors;
+  Alcotest.(check int) "dispatched" 4 served;
+  Alcotest.(check int) "dispatch errors" 1 errors;
   Alcotest.(check bool) "socket file still present" true (Sys.file_exists path);
   Sys.remove path
 
@@ -870,6 +970,33 @@ let test_server_graceful_drain () =
   Alcotest.(check bool) "answered during drain" true (Domain.join srv >= 1);
   Sys.remove path
 
+(* A negative edge distance is answered in stream position, and the
+   daemon goes on to answer the next line. *)
+let test_server_negative_distance () =
+  let path = sock_path "negdist" in
+  let srv = spawn_server (S.Server.listen_unix path) in
+  let connect = connect_to path in
+  (match
+     S.Load.run_requests ~connect
+       [
+         {|{"id":"b","op":"schedule","dsl":"loop acc\n node a ld.f\n node b add.f\n edge a b dist -1\nend\n"}|};
+         {|{"id":"p","op":"ping"}|};
+       ]
+   with
+  | [ (_, Some bad); (_, Some ping) ] ->
+    (match S.Proto.parse_response bad with
+    | Ok { S.Proto.rid = Some "b"; error = Some e; _ } ->
+      Alcotest.(check string) "bad-dsl" "bad-dsl" (Hcv_obs.Diag.code e);
+      Alcotest.(check (option string)) "line 4" (Some "4")
+        (List.assoc_opt "line" e.Hcv_obs.Diag.context)
+    | _ -> Alcotest.failf "expected a bad-dsl answer, got %s" bad);
+    Alcotest.(check bool) "ping answered after it" true
+      (S.Load.classify ping = S.Load.Ok_answer)
+  | _ -> Alcotest.fail "the daemon stopped answering");
+  shutdown_ok connect;
+  ignore (Domain.join srv);
+  Sys.remove path
+
 let test_server_chaos_identity () =
   (* The reactor under torn reads and one-byte writes answers the exact
      bytes a fault-free in-process dispatcher does: socket faults are
@@ -967,6 +1094,8 @@ let suite =
     Alcotest.test_case "registry content keys" `Quick test_registry_keys;
     Alcotest.test_case "frontier op" `Quick test_frontier_op;
     Alcotest.test_case "registry rejections" `Quick test_registry_rejections;
+    Alcotest.test_case "registry refuses bad edge fields" `Quick
+      test_registry_bad_edge_fields;
     Alcotest.test_case "dispatch is deterministic" `Quick
       test_dispatch_deterministic;
     Alcotest.test_case "dispatch dedups a batch" `Quick
@@ -979,9 +1108,12 @@ let suite =
       test_deadline_render;
     Alcotest.test_case "stats separates volatile fields" `Quick
       test_stats_volatile;
-    Alcotest.test_case "circuit breaker fast-fails quarantined keys" `Quick
-      test_circuit_breaker;
+    Alcotest.test_case "quarantine repeat is recomputed" `Quick
+      test_quarantine_repeat;
+    Alcotest.test_case "dispatch guards admission" `Quick test_dispatch_guard;
     Alcotest.test_case "server socket loop" `Quick test_server_socket;
+    Alcotest.test_case "server answers a negative edge distance" `Quick
+      test_server_negative_distance;
     Alcotest.test_case "server drains a pipelined burst past batch_max"
       `Quick test_server_pipelined_burst;
     Alcotest.test_case "server flushes answers before max-requests exit"
