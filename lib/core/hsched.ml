@@ -81,18 +81,82 @@ let preplace_recurrences ?(obs = Hcv_obs.Trace.null) ~config ~clocking ddg =
   | Error _ -> Hcv_obs.Trace.incr obs "preplace.rejects");
   r
 
-(* Score a candidate partition by the ED2 its pseudo-schedule predicts
-   (paper §4.1.2).  Unschedulable partitions keep the huge
-   schedulability-first penalties so that any feasible partition wins. *)
-let ed2_score ~memo ?obs ~ctx ~config ~machine ~loop assignment =
-  let est = Pseudo.estimate ~memo ?obs ~machine ~loop ~assignment () in
-  if not (Pseudo.feasible est) then 1e14 +. Pseudo.score est
-  else
-    Model.ed2 ctx ~config
-      (Profile.activity_of_schedule ~it_length:est.Pseudo.it_length
-         est.Pseudo.schedule ~trip:loop.Loop.trip)
-
 type score_mode = Ed2 | Schedulability
+
+(* The §4.1.2 energy inputs a partition does not change, fixed for one
+   [schedule] call.  The coefficients are lazy: an unrealisable
+   configuration raises at the first feasible estimate, as pricing it
+   always has, and never when no estimate is feasible. *)
+type energy_inputs = {
+  coeffs : Model.coeffs Lazy.t;
+  ins_energy : float array;  (* per instruction *)
+  n_mem : float;  (* memory accesses per invocation *)
+  trip : int;
+}
+
+let energy_inputs ~ctx ~config ~loop =
+  let trip = loop.Loop.trip in
+  {
+    coeffs = lazy (Model.coeffs ctx ~config);
+    ins_energy = Array.map Instr.energy (Ddg.instrs loop.Loop.ddg);
+    n_mem = float_of_int (Loop.mem_accesses_per_iter loop * trip);
+    trip;
+  }
+
+(* Score a candidate partition by the ED2 its pseudo-schedule predicts
+   (paper §4.1.2): the activity of one invocation, from the workspace's
+   scalars and the assignment, priced by {!Model.ed2_of} — each float
+   computed as [Profile.activity_of_schedule] and [Model.ed2] compute
+   it from the materialised schedule.  Unschedulable partitions keep
+   the huge schedulability-first penalties so that any feasible
+   partition wins. *)
+let ed2_scorer inputs ws clocking =
+  let n_clusters = Clocking.n_clusters clocking in
+  let per_cluster = Array.make n_clusters 0.0 in
+  let trip_f = float_of_int inputs.trip in
+  let base_ns =
+    float_of_int (inputs.trip - 1) *. Q.to_float clocking.Clocking.it
+  in
+  fun assignment ->
+    Pseudo.Workspace.eval ws assignment;
+    if not (Pseudo.Workspace.feasible ws) then
+      1e14 +. Pseudo.Workspace.score ws
+    else begin
+      Array.fill per_cluster 0 n_clusters 0.0;
+      for i = 0 to Array.length assignment - 1 do
+        let c = assignment.(i) in
+        per_cluster.(c) <- per_cluster.(c) +. inputs.ins_energy.(i)
+      done;
+      for c = 0 to n_clusters - 1 do
+        per_cluster.(c) <- per_cluster.(c) *. trip_f
+      done;
+      let exec_time_ns =
+        base_ns +. Q.to_float (Pseudo.Workspace.it_length ws)
+      in
+      (* [Activity.make]'s guard: an empty loop of trip 1 reaches it. *)
+      if exec_time_ns <= 0.0 then
+        invalid_arg "Activity.make: non-positive time";
+      Model.ed2_of (Lazy.force inputs.coeffs) ~exec_time_ns
+        ~per_cluster_ins_energy:per_cluster
+        ~n_comms:(float_of_int (Pseudo.Workspace.n_comms ws * inputs.trip))
+        ~n_mem:inputs.n_mem
+    end
+
+(* The partitioner's score at one IT attempt, over a workspace that
+   lives exactly as long as the returned function. *)
+let scorer inputs ~obs ~machine ~loop ~memo mode =
+  let ws = Pseudo.Workspace.create ~memo ~obs ~machine ~loop in
+  match mode with
+  | Ed2 -> ed2_scorer inputs ws (Timing.Memo.clocking memo)
+  | Schedulability ->
+    fun assignment ->
+      Pseudo.Workspace.eval ws assignment;
+      Pseudo.Workspace.score ws
+
+let partition_scorer ~ctx ~config ~loop ~memo mode =
+  scorer
+    (energy_inputs ~ctx ~config ~loop)
+    ~obs:Hcv_obs.Trace.null ~machine:config.Opconfig.machine ~loop ~memo mode
 
 (* Counter-safe slugs for the slot-scheduler failure causes (the
    human-readable {!Slot_sched.failure_to_string} strings have spaces). *)
@@ -135,6 +199,7 @@ let schedule ?(obs = Hcv_obs.Trace.null) ~ctx ~config ~loop ?(max_tries = 64)
      a pathological config cannot spin through 64 attempts each paying
      full price. *)
   let budget_left = ref (Option.value budget ~default:max_int) in
+  let inputs = energy_inputs ~ctx ~config ~loop in
   let n_clusters = Machine.n_clusters machine in
   let ddg = loop.Loop.ddg in
   match Mii.missing_kinds_msg machine ddg with
@@ -214,14 +279,7 @@ let schedule ?(obs = Hcv_obs.Trace.null) ~ctx ~config ~loop ?(max_tries = 64)
           Error (Hcv_obs.Diag.add_context [ ("loop", loop.Loop.name) ] d)
         | Ok _, Error _ -> bump ~sync:false ~cause:"preplace" ()
         | Ok memo, Ok fixed -> (
-          let score =
-            match score_mode with
-            | Ed2 -> ed2_score ~memo ~obs ~ctx ~config ~machine ~loop
-            | Schedulability ->
-              fun assignment ->
-                Pseudo.score
-                  (Pseudo.estimate ~memo ~obs ~machine ~loop ~assignment ())
-          in
+          let score = scorer inputs ~obs ~machine ~loop ~memo score_mode in
           (* The budget guard wraps the *raw* score, beneath the memo:
              only fresh pseudo-schedule evaluations spend budget, memo
              hits stay free — so a budget large enough for the distinct

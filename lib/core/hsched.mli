@@ -44,6 +44,21 @@ type score_mode =
           used by the ablation benches to isolate the value of
           energy-aware refinement *)
 
+val partition_scorer :
+  ctx:Model.ctx -> config:Opconfig.t -> loop:Loop.t -> memo:Timing.Memo.t
+  -> score_mode -> int array -> float
+(** The score {!schedule} hands the partitioner at one IT attempt (the
+    memo's clocking), beneath its budget guard and score memo.  Each
+    call evaluates the assignment into one {!Hcv_sched.Pseudo.Workspace}
+    built with the function; [Ed2] then prices the workspace's scalars
+    and the assignment's per-cluster instruction energy with
+    {!Model.ed2_of}, and builds no {!Schedule.t} and no activity record.
+    Its value is bit-identical to [Model.ed2 ctx ~config
+    (Profile.activity_of_schedule est.schedule ~trip)] for a feasible
+    estimate [est] of the same assignment, and [1e14 +. Pseudo.score
+    est] otherwise.  [schedule] computes the energy coefficients once
+    per call, lazily; this function, once per function. *)
+
 val schedule :
   ?obs:Hcv_obs.Trace.span -> ctx:Model.ctx -> config:Opconfig.t
   -> loop:Loop.t -> ?max_tries:int -> ?seed:int -> ?preplace:bool

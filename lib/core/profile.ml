@@ -28,10 +28,10 @@ type t = {
 
 let t_norm_ns = 1e6
 
-let activity_of_schedule ?it_length sched ~trip =
+let activity_of_schedule sched ~trip =
   let per_iter = Schedule.per_cluster_ins_energy sched in
   Activity.make
-    ~exec_time_ns:(Schedule.exec_time_ns ?it_length sched ~trip)
+    ~exec_time_ns:(Schedule.exec_time_ns sched ~trip)
     ~per_cluster_ins_energy:(Array.map (fun e -> e *. float_of_int trip) per_iter)
     ~n_comms:(float_of_int (Schedule.n_comms sched * trip))
     ~n_mem:(float_of_int (Schedule.n_mem sched * trip))

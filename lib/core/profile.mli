@@ -44,11 +44,9 @@ type t = {
 val t_norm_ns : float
 (** Normalised reference-run duration (1e6 ns). *)
 
-val activity_of_schedule :
-  ?it_length:Q.t -> Schedule.t -> trip:int -> Activity.t
+val activity_of_schedule : Schedule.t -> trip:int -> Activity.t
 (** Activity of one invocation: per-iteration counts scaled by the trip
-    count, execution time from the modulo-schedule formula.  A
-    {!Hcv_sched.Pseudo.t} passes its own iteration length. *)
+    count, execution time from the modulo-schedule formula. *)
 
 val profile :
   ?obs:Hcv_obs.Trace.span -> machine:Machine.t -> loops:Loop.t list -> unit

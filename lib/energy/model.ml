@@ -25,6 +25,19 @@ let ctx ?(alpha = Alpha_power.default) ?(vdd_ref = 1.0) ?(vth_ref = 0.25)
     ~params ~units () =
   { params; units; alpha; vdd_ref; vth_ref }
 
+(* Per-domain factors of one configuration, folded into the unit
+   energies and powers they multiply.  [a *. b *. x] is [(a *. b) *. x]
+   in OCaml, so multiplying a count by a precomputed [a *. b] gives the
+   same float as the inline product. *)
+type coeffs = {
+  k_dyn_cluster : float array;  (* e_ins * delta_C *)
+  k_stat_cluster : float array;  (* sigma_C * Pstat_cluster *)
+  k_dyn_icn : float;
+  k_dyn_cache : float;
+  k_stat_icn : float;
+  k_stat_cache : float;
+}
+
 let factors ctx config comp =
   let vdd = Opconfig.vdd config comp in
   match Opconfig.vth ~params:ctx.alpha config comp with
@@ -36,36 +49,63 @@ let factors ctx config comp =
     ( Scale.delta ~vdd ~vdd_ref:ctx.vdd_ref,
       Scale.sigma ~vdd ~vth ~vdd_ref:ctx.vdd_ref ~vth_ref:ctx.vth_ref () )
 
-let energy ctx ~config (act : Activity.t) =
-  let n_clusters = Machine.n_clusters config.Opconfig.machine in
-  if Array.length act.Activity.per_cluster_ins_energy <> n_clusters then
-    invalid_arg "Model.energy: activity/config cluster arity mismatch";
+let coeffs ctx ~config =
   let u = ctx.units in
-  let dyn_cluster = ref 0.0 and stat_cluster = ref 0.0 in
-  for i = 0 to n_clusters - 1 do
-    let delta, sigma = factors ctx config (Comp.Cluster i) in
-    dyn_cluster :=
-      !dyn_cluster
-      +. (u.Units.e_ins *. delta *. act.Activity.per_cluster_ins_energy.(i));
-    stat_cluster :=
-      !stat_cluster
-      +. (sigma *. u.Units.p_stat_cluster *. act.Activity.exec_time_ns)
-  done;
+  let n_clusters = Machine.n_clusters config.Opconfig.machine in
+  let cl =
+    Array.init n_clusters (fun i -> factors ctx config (Comp.Cluster i))
+  in
   let delta_icn, sigma_icn = factors ctx config Comp.Icn in
   let delta_cache, sigma_cache = factors ctx config Comp.Cache in
   {
-    dyn_cluster = !dyn_cluster;
-    dyn_icn = u.Units.e_comm *. delta_icn *. act.Activity.n_comms;
-    dyn_cache = u.Units.e_access *. delta_cache *. act.Activity.n_mem;
-    stat_cluster = !stat_cluster;
-    stat_icn = sigma_icn *. u.Units.p_stat_icn *. act.Activity.exec_time_ns;
-    stat_cache = sigma_cache *. u.Units.p_stat_cache *. act.Activity.exec_time_ns;
+    k_dyn_cluster = Array.map (fun (delta, _) -> u.Units.e_ins *. delta) cl;
+    k_stat_cluster =
+      Array.map (fun (_, sigma) -> sigma *. u.Units.p_stat_cluster) cl;
+    k_dyn_icn = u.Units.e_comm *. delta_icn;
+    k_dyn_cache = u.Units.e_access *. delta_cache;
+    k_stat_icn = sigma_icn *. u.Units.p_stat_icn;
+    k_stat_cache = sigma_cache *. u.Units.p_stat_cache;
   }
 
-let ed2 ctx ~config act =
-  let e = total (energy ctx ~config act) in
-  let d = act.Activity.exec_time_ns in
-  e *. d *. d
+let breakdown k ~exec_time_ns ~per_cluster_ins_energy ~n_comms ~n_mem =
+  let dyn_cluster = ref 0.0 and stat_cluster = ref 0.0 in
+  for i = 0 to Array.length k.k_dyn_cluster - 1 do
+    dyn_cluster :=
+      !dyn_cluster +. (k.k_dyn_cluster.(i) *. per_cluster_ins_energy.(i));
+    stat_cluster := !stat_cluster +. (k.k_stat_cluster.(i) *. exec_time_ns)
+  done;
+  {
+    dyn_cluster = !dyn_cluster;
+    dyn_icn = k.k_dyn_icn *. n_comms;
+    dyn_cache = k.k_dyn_cache *. n_mem;
+    stat_cluster = !stat_cluster;
+    stat_icn = k.k_stat_icn *. exec_time_ns;
+    stat_cache = k.k_stat_cache *. exec_time_ns;
+  }
+
+let ed2_of k ~exec_time_ns ~per_cluster_ins_energy ~n_comms ~n_mem =
+  let e =
+    total (breakdown k ~exec_time_ns ~per_cluster_ins_energy ~n_comms ~n_mem)
+  in
+  e *. exec_time_ns *. exec_time_ns
+
+let checked_coeffs ctx ~config (act : Activity.t) =
+  let n_clusters = Machine.n_clusters config.Opconfig.machine in
+  if Array.length act.Activity.per_cluster_ins_energy <> n_clusters then
+    invalid_arg "Model.energy: activity/config cluster arity mismatch";
+  coeffs ctx ~config
+
+let energy ctx ~config (act : Activity.t) =
+  breakdown (checked_coeffs ctx ~config act)
+    ~exec_time_ns:act.Activity.exec_time_ns
+    ~per_cluster_ins_energy:act.Activity.per_cluster_ins_energy
+    ~n_comms:act.Activity.n_comms ~n_mem:act.Activity.n_mem
+
+let ed2 ctx ~config (act : Activity.t) =
+  ed2_of (checked_coeffs ctx ~config act)
+    ~exec_time_ns:act.Activity.exec_time_ns
+    ~per_cluster_ins_energy:act.Activity.per_cluster_ins_energy
+    ~n_comms:act.Activity.n_comms ~n_mem:act.Activity.n_mem
 
 let pp_breakdown ppf b =
   Format.fprintf ppf

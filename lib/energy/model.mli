@@ -36,12 +36,33 @@ val ctx :
 (** Reference voltages default to the paper's 1 V / 0.25 V. *)
 
 val energy : ctx -> config:Hcv_machine.Opconfig.t -> Activity.t -> breakdown
-(** Energy of executing the given activity on [config].
+(** Energy of executing the given activity on [config]:
+    {!coeffs}, then the formula above in a fixed operation order.
     @raise Invalid_argument if some domain of [config] is not realisable
     (no valid threshold voltage — callers must filter configurations
     with {!Hcv_machine.Opconfig.realisable} first). *)
 
 val ed2 : ctx -> config:Hcv_machine.Opconfig.t -> Activity.t -> float
 (** Energy-delay-squared: [total energy * (exec_time_ns)^2]. *)
+
+type coeffs
+(** The per-domain factors of one (context, configuration), folded into
+    the unit energies and powers they multiply: what {!energy}
+    recomputes on every call.  A caller that prices many activities on
+    one configuration computes them once. *)
+
+val coeffs : ctx -> config:Hcv_machine.Opconfig.t -> coeffs
+(** Clusters first, then the ICN, then the cache: the first
+    unrealisable domain raises, as in {!energy}.
+    @raise Invalid_argument as {!energy} does. *)
+
+val ed2_of :
+  coeffs -> exec_time_ns:float -> per_cluster_ins_energy:float array
+  -> n_comms:float -> n_mem:float -> float
+(** {!ed2} of an activity given by its fields, without building one:
+    bit-identical to [ed2 ctx ~config act] for the same coefficients
+    and counts, since both evaluate the one formula in the same
+    order.  Unchecked: [per_cluster_ins_energy] must have one entry per
+    cluster. *)
 
 val pp_breakdown : Format.formatter -> breakdown -> unit

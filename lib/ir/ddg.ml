@@ -29,6 +29,10 @@ let preds t i = t.preds_l.(i)
 (* CSR view *)
 
 let edge_array t = t.edge_arr
+let succ_offsets t = t.succ_off
+let succ_index t = t.succ_idx
+let pred_offsets t = t.pred_off
+let pred_index t = t.pred_idx
 let out_degree t i = t.succ_off.(i + 1) - t.succ_off.(i)
 let in_degree t i = t.pred_off.(i + 1) - t.pred_off.(i)
 

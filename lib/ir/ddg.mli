@@ -58,6 +58,17 @@ val find_instr : t -> string -> Instr.t option
 val edge_array : t -> Edge.t array
 (** All edges in construction order.  Physical array — do not mutate. *)
 
+val succ_offsets : t -> int array
+val succ_index : t -> int array
+(** Node [i]'s out-edges are [edge_array.(succ_index.(k))] for [k] in
+    [succ_offsets.(i) .. succ_offsets.(i+1) - 1], in construction order:
+    the slices {!iter_succs} walks, for loops that take no closure.
+    Physical arrays — do not mutate. *)
+
+val pred_offsets : t -> int array
+val pred_index : t -> int array
+(** The same view of in-edges ({!iter_preds}). *)
+
 val out_degree : t -> Instr.id -> int
 val in_degree : t -> Instr.id -> int
 val iter_succs : t -> Instr.id -> (Edge.t -> unit) -> unit

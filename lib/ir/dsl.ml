@@ -30,11 +30,16 @@ let parse_int lnum what s =
   | Some v -> v
   | None -> fail lnum "invalid %s %S" what s
 
+let max_edge_value = 255
+
 (* Edge distances and latencies are refused here, at their line, rather
-   than by the DDG builder's invariant check. *)
+   than by the DDG builder's invariant check or by a scheduler's
+   arithmetic. *)
 let parse_nat lnum what s =
   match int_of_string_opt s with
-  | Some v when v >= 0 -> v
+  | Some v when v >= 0 && v <= max_edge_value -> v
+  | Some v when v >= 0 ->
+    fail lnum "%s must be at most %d, got %s" what max_edge_value s
   | Some _ -> fail lnum "%s must be non-negative, got %s" what s
   | None -> fail lnum "invalid %s %S" what s
 

@@ -29,8 +29,14 @@ let schedule ~machine ~cycle_time ~loop ?(max_tries = 64) ?(seed = 0) () =
         let assignment =
           if n_clusters = 1 then Array.make (Ddg.n_instrs ddg) 0
           else begin
+            (* One workspace per II attempt: the memo's clocking. *)
+            let ws =
+              Pseudo.Workspace.create ~memo ~obs:Hcv_obs.Trace.null ~machine
+                ~loop
+            in
             let score assignment =
-              Pseudo.score (Pseudo.estimate ~memo ~machine ~loop ~assignment ())
+              Pseudo.Workspace.eval ws assignment;
+              Pseudo.Workspace.score ws
             in
             let hier = Option.get hier in
             (Partition.run_hier ~n_clusters ~hier ~seed ?eligible ~score ())

@@ -101,26 +101,20 @@ let bus_release t ~cycle =
   if s < t.bus_ff then t.bus_ff <- s
 
 let bus_first_free t ~earliest ~latest =
-  if earliest > latest then None
+  if earliest > latest then -1
   else begin
-    let lo = max 0 earliest in
+    let lo = Int.max 0 earliest in
     (* Cycles < bus_ff are known full; skipping them cannot change the
        answer.  Only a scan that starts inside the verified prefix may
        extend it. *)
-    let start = max lo t.bus_ff in
-    let extend = lo <= t.bus_ff in
-    let rec go b =
-      if b > latest then begin
-        if extend then t.bus_ff <- min (latest + 1) t.bus_ii;
-        None
-      end
-      else if t.bus_used.(b mod t.bus_ii) < t.bus_capacity then begin
-        if extend then t.bus_ff <- b;
-        Some b
-      end
-      else go (b + 1)
-    in
-    go start
+    let b = ref (Int.max lo t.bus_ff) in
+    while !b <= latest && t.bus_used.(!b mod t.bus_ii) >= t.bus_capacity do
+      incr b
+    done;
+    let found = !b <= latest in
+    if lo <= t.bus_ff then
+      t.bus_ff <- (if found then !b else Int.min (latest + 1) t.bus_ii);
+    if found then !b else -1
   end
 
 let fu_slots_free t ~cluster ~kind =
@@ -133,17 +127,17 @@ let fu_used t ~cluster ~kind ~slot =
 
 let bus_used t ~slot = t.bus_used.(slot)
 
+(* Loops, not iterators: a pseudo-schedule workspace clears its tables
+   once per evaluation, and this allocates nothing. *)
 let clear t =
   Array.iter
-    (fun ct -> Array.iter (fun r -> Array.fill r 0 (Array.length r) 0) ct.used)
-    t.clusters;
-  Array.iter
     (fun ct ->
-      Array.iteri
-        (fun k cap -> ct.free_slots.(k) <- (if cap > 0 then ct.ii else 0))
-        ct.caps)
+      for k = 0 to Opcode.n_fu_kinds - 1 do
+        Array.fill ct.used.(k) 0 ct.ii 0;
+        ct.free_slots.(k) <- (if ct.caps.(k) > 0 then ct.ii else 0)
+      done)
     t.clusters;
-  Array.fill t.bus_used 0 (Array.length t.bus_used) 0;
+  Array.fill t.bus_used 0 t.bus_ii 0;
   t.bus_free_slots <- (if t.bus_capacity > 0 then t.bus_ii else 0);
   t.bus_ff <- 0
 

@@ -26,11 +26,12 @@ val bus_available : t -> cycle:int -> bool
 val bus_reserve : t -> cycle:int -> unit
 val bus_release : t -> cycle:int -> unit
 
-val bus_first_free : t -> earliest:int -> latest:int -> int option
+val bus_first_free : t -> earliest:int -> latest:int -> int
 (** Earliest cycle in [[max 0 earliest, latest]] whose bus slot has
-    spare capacity — the same answer as a linear [bus_available] scan,
-    but starting from an internally tracked verified-full prefix, so
-    repeated searches over a mostly-full window are O(1). *)
+    spare capacity, or [-1] when there is none — the same answer as a
+    linear [bus_available] scan, but starting from an internally
+    tracked verified-full prefix, so repeated searches over a
+    mostly-full window are O(1). *)
 
 val fu_slots_free : t -> cluster:int -> kind:Opcode.fu_kind -> int
 (** Number of modulo slots of one FU row with spare capacity.  Zero
@@ -48,4 +49,7 @@ val fu_used : t -> cluster:int -> kind:Opcode.fu_kind -> slot:int -> int
 val bus_used : t -> slot:int -> int
 
 val clear : t -> unit
+(** Empty every table in place, as {!create} leaves them, without
+    allocating. *)
+
 val pp : Format.formatter -> t -> unit

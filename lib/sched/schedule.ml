@@ -42,10 +42,9 @@ let stage_count t =
   let it = t.clocking.Clocking.it in
   if Q.sign it <= 0 then 0 else Q.ceil (Q.div (it_length t) it)
 
-let exec_time_ns ?it_length:len t ~trip =
-  let len = match len with Some l -> l | None -> it_length t in
+let exec_time_ns t ~trip =
   let it = Q.to_float t.clocking.Clocking.it in
-  (float_of_int (trip - 1) *. it) +. Q.to_float len
+  (float_of_int (trip - 1) *. it) +. Q.to_float (it_length t)
 
 let n_comms t = List.length t.transfers
 

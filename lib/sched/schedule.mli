@@ -42,9 +42,8 @@ val it_length : t -> Q.t
 val stage_count : t -> int
 (** ceil(it_length / IT). *)
 
-val exec_time_ns : ?it_length:Q.t -> t -> trip:int -> float
-(** [(trip - 1) * IT + it_length]; a caller that already holds the
-    iteration length passes it instead of re-deriving it. *)
+val exec_time_ns : t -> trip:int -> float
+(** [(trip - 1) * IT + it_length]. *)
 
 val n_comms : t -> int
 (** Bus transfers per kernel iteration. *)

@@ -129,8 +129,9 @@ let serve_transfer st ~undo ~src ~dst_cluster ~need =
        ... moving earlier only helps; moving later than the old slot
        could break them, so only move earlier). *)
     let latest = min latest (ts.bus_cycle - 1) in
-    match find_bus st ~earliest ~latest with
-    | Some b ->
+    let b = find_bus st ~earliest ~latest in
+    if b < 0 then false
+    else begin
       let old = ts.bus_cycle in
       Mrt.bus_release st.mrt ~cycle:old;
       Mrt.bus_reserve st.mrt ~cycle:b;
@@ -144,10 +145,11 @@ let serve_transfer st ~undo ~src ~dst_cluster ~need =
           ts.bus_cycle <- old)
         :: !undo;
       true
-    | None -> false)
-  | None -> (
-    match find_bus st ~earliest ~latest with
-    | Some b ->
+    end)
+  | None ->
+    let b = find_bus st ~earliest ~latest in
+    if b < 0 then false
+    else begin
       Mrt.bus_reserve st.mrt ~cycle:b;
       Hashtbl.replace st.transfers key { bus_cycle = b; users = 1 };
       undo :=
@@ -156,7 +158,7 @@ let serve_transfer st ~undo ~src ~dst_cluster ~need =
           Hashtbl.remove st.transfers key)
         :: !undo;
       true
-    | None -> false)
+    end
 
 (* Remove all transfer involvement of instruction [i]. *)
 let drop_transfers st i =
@@ -389,12 +391,13 @@ let rebuild_transfers st =
         let latest =
           Timing.Memo.latest_bus_cycle st.memo ~buslat:st.buslat ~need
         in
-        match find_bus st ~earliest ~latest with
-        | Some b ->
-          Mrt.bus_reserve st.mrt ~cycle:b;
-          Hashtbl.replace st.transfers key { bus_cycle = b; users = 1 };
-          true
-        | None -> false)
+        let b = find_bus st ~earliest ~latest in
+        b >= 0
+        && begin
+             Mrt.bus_reserve st.mrt ~cycle:b;
+             Hashtbl.replace st.transfers key { bus_cycle = b; users = 1 };
+             true
+           end)
       ordered
   in
   if ok then Ok () else Error ()

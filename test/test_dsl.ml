@@ -68,6 +68,67 @@ let test_negative_edge_fields () =
   expect_error "loop l\n  node a ld.f\n  node b add.f\n  edge a b dist -1\nend\n" 4;
   expect_error "loop l\n  node a ld.f\n  node b add.f\n  edge a b lat -5\nend\n" 4
 
+(* So is one above the stated maximum: these values used to wrap the
+   schedulers' integer arithmetic (a consumer four cycles after its
+   producer, or an assertion failure in the recurrence analysis). *)
+let test_edge_fields_bounded () =
+  let three edges =
+    "loop acc trip 100\n  node a ld.f\n  node b add.f\n  node c add.f\n"
+    ^ edges ^ "end\n"
+  in
+  expect_error
+    (three
+       "  edge a b lat 4611686018427387000\n  edge b c\n  edge c b dist 1\n")
+    5;
+  expect_error
+    (three "  edge a b\n  edge b c\n  edge c a dist 4611686018427387000\n")
+    7;
+  let at v =
+    Printf.sprintf "  edge a b lat %d\n  edge b c\n  edge c a dist %d\n" v v
+  in
+  expect_error (three (at (Dsl.max_edge_value + 1))) 5;
+  ignore (parse_one (three (at Dsl.max_edge_value)))
+
+(* dsl.mli's derivation of the maximum: recurrences whose edges sit at
+   the bound keep Cycle_ratio's arithmetic exact, for every simple cycle
+   of up to 16 edges (equal near-bound values on every edge are the
+   worst case) and for a 100-edge cycle closed by one loop-carried
+   edge. *)
+let test_bound_keeps_cycle_ratio_exact () =
+  let cycle ~m ~lat ~dist ~carried =
+    let b = Ddg.Builder.create () in
+    let ids =
+      Array.init m (fun _ ->
+          Ddg.Builder.add_instr b (Opcode.make Opcode.Arith Opcode.Int))
+    in
+    for i = 0 to m - 1 do
+      let distance = if carried i then dist else 0 in
+      Ddg.Builder.add_edge b ~latency:lat ~distance ids.(i) ids.((i + 1) mod m)
+    done;
+    Ddg.Builder.build b
+  in
+  let check ~m ~lat ~dist ~carried ~n_carried =
+    let want = Hcv_support.Q.make (m * lat) (n_carried * dist) in
+    let ddg = cycle ~m ~lat ~dist ~carried in
+    match Cycle_ratio.exact_over ddg (List.init m Fun.id) with
+    | Some q ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d edges, lat %d, dist %d" m lat dist)
+        (Hcv_support.Q.to_string want) (Hcv_support.Q.to_string q)
+    | None -> Alcotest.fail "a cycle has a ratio"
+  in
+  let top = Dsl.max_edge_value in
+  List.iter
+    (fun (lat, dist) ->
+      for m = 1 to 16 do
+        check ~m ~lat ~dist ~carried:(fun _ -> true) ~n_carried:m
+      done)
+    [ (top, top); (top, top - 2); (top - 1, top); (240, 245) ];
+  List.iter
+    (fun dist ->
+      check ~m:100 ~lat:top ~dist ~carried:(fun i -> i = 99) ~n_carried:1)
+    [ top; top - 2 ]
+
 let test_multiple_loops () =
   match
     Dsl.parse "loop a\n node x add.i\nend\nloop b\n node y add.f\nend\n"
@@ -113,6 +174,10 @@ let suite =
     Alcotest.test_case "errors with line numbers" `Quick test_errors;
     Alcotest.test_case "negative edge fields refused" `Quick
       test_negative_edge_fields;
+    Alcotest.test_case "edge fields above the maximum refused" `Quick
+      test_edge_fields_bounded;
+    Alcotest.test_case "the maximum keeps recurrence ratios exact" `Quick
+      test_bound_keeps_cycle_ratio_exact;
     Alcotest.test_case "multiple loops" `Quick test_multiple_loops;
     Alcotest.test_case "print/parse roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "generated population roundtrip" `Quick

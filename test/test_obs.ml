@@ -138,6 +138,60 @@ let test_null_sink_free_on_estimate () =
     "null sink adds zero words to the estimate hot path"
     (words default_obs) (words explicit_null)
 
+(* A warm evaluation through the partition score Hsched hands the
+   partitioner allocates the same words on a 19- and an 80-instruction
+   loop (wupwise's smallest and largest fig7 --quick loops, the even
+   assignment at the MIT of the reference configuration): nothing per
+   instruction, per edge or per transfer.  The estimate it replaced
+   allocated 3,349 and 7,848 minor words on these two loops, plus 642
+   major words on the larger. *)
+let test_scoring_words_constant () =
+  let machine = Hcv_machine.Presets.machine_4c ~buses:1 in
+  let config = Hcv_machine.Presets.reference_config machine in
+  let ctx =
+    let act =
+      Hcv_energy.Activity.make ~exec_time_ns:1e6
+        ~per_cluster_ins_energy:(Array.make 4 100.) ~n_comms:100. ~n_mem:100.
+    in
+    Hcv_energy.Model.ctx ~params:Hcv_energy.Params.default
+      ~units:
+        (Hcv_energy.Units.of_reference ~params:Hcv_energy.Params.default
+           ~n_clusters:4 act)
+      ()
+  in
+  let loops =
+    Hcv_workload.Specfp.loops ~n_loops:6 ~seed:42
+      (Option.get (Hcv_workload.Specfp.find "wupwise"))
+  in
+  let words name =
+    let loop =
+      List.find (fun (l : Hcv_ir.Loop.t) -> l.Hcv_ir.Loop.name = name) loops
+    in
+    let ddg = loop.Hcv_ir.Loop.ddg in
+    let it = Mit.mit ~config ddg in
+    let clocking = Result.get_ok (Hcv_sched.Clocking.of_config ~config ~it) in
+    let memo = Builders.memo clocking in
+    let assignment = Hcv_sched.Partition.initial_even ~n_clusters:4 ddg in
+    let score = Hsched.partition_scorer ~ctx ~config ~loop ~memo Hsched.Ed2 in
+    ignore (score assignment);
+    (* [Gc.counters], not [quick_stat]: it also counts the arrays too
+       large for the minor heap, allocated in the major heap directly. *)
+    let minor = Gc.minor_words () in
+    let _, _, major = Gc.counters () in
+    ignore (Sys.opaque_identity (score assignment));
+    let _, _, major' = Gc.counters () in
+    let minor = Gc.minor_words () -. minor in
+    let major = major' -. major in
+    (Hcv_ir.Ddg.n_instrs ddg, minor, major)
+  in
+  let n_small, minor_small, major_small = words "wupwise_l2000" in
+  let n_large, minor_large, major_large = words "wupwise_l1002" in
+  Alcotest.(check (pair int int)) "loop sizes" (19, 80) (n_small, n_large);
+  Alcotest.(check (float 0.0)) "minor words independent of loop size"
+    minor_small minor_large;
+  Alcotest.(check (float 0.0)) "major words independent of loop size"
+    major_small major_large
+
 (* ----- trace serialization ----------------------------------------- *)
 
 let test_tracex_roundtrip () =
@@ -248,6 +302,8 @@ let suite =
       test_null_sink_zero_alloc;
     Alcotest.test_case "null sink free on Pseudo.estimate" `Quick
       test_null_sink_free_on_estimate;
+    Alcotest.test_case "partition scoring words independent of loop size"
+      `Quick test_scoring_words_constant;
     Alcotest.test_case "trace serialization round-trips" `Quick
       test_tracex_roundtrip;
     Alcotest.test_case "a span per paper stage" `Slow

@@ -384,6 +384,17 @@ let test_registry_bad_edge_fields () =
   Alcotest.(check string) "dsl negative dist" "bad-dsl" (Hcv_obs.Diag.code d);
   Alcotest.(check (option string)) "at the edge's line" (Some "4")
     (List.assoc_opt "line" d.Hcv_obs.Diag.context);
+  (* A value past Dsl.max_edge_value, which used to wrap the
+     schedulers' integer arithmetic, is refused the same way. *)
+  let d =
+    diag
+      {|{"id":"b","op":"schedule","dsl":"loop acc trip 100\n node a ld.f\n node b add.f\n node c add.f\n edge a b lat 4611686018427387000\n edge b c\n edge c b dist 1\nend\n"}|}
+  in
+  Alcotest.(check string) "dsl huge lat" "bad-dsl" (Hcv_obs.Diag.code d);
+  Alcotest.(check (option string)) "at its line" (Some "5")
+    (List.assoc_opt "line" d.Hcv_obs.Diag.context);
+  Alcotest.(check string) "graph huge lat" "bad-graph"
+    (admit_err (graph {|,"lat":4611686018427387000|}));
   Alcotest.(check string) "graph negative dist" "bad-graph"
     (admit_err (graph {|,"dist":-1|}));
   Alcotest.(check string) "graph negative lat" "bad-graph"
