@@ -89,7 +89,7 @@ let explore_cmd =
           List.iter2
             (fun c (o : Sweep.outcome) ->
               let machine = Sweep.machine_of_cell c in
-              match Sweep.choice_of_string ~machine o.Sweep.hetero with
+              match Sweep.choice_of_json ~machine o.Sweep.hetero with
               | Some choice ->
                 Format.printf "@.%s:@.%a@." o.Sweep.bench Select.pp_choice
                   choice
@@ -204,7 +204,7 @@ let frontier_cmd =
                 let machine = Sweep.machine_of_cell c in
                 let choices =
                   List.filter_map
-                    (Sweep.choice_of_string ~machine)
+                    (Sweep.choice_of_json ~machine)
                     o.Sweep.frontier
                 in
                 Some (o.Sweep.bench, Frontier_report.rebuild ~spec choices))

@@ -84,7 +84,7 @@ let formula_exec_ns (s : Schedule.t) ~trip =
     (Q.mul_int s.Schedule.clocking.Clocking.it (trip - 1))
     (Schedule.it_length s)
 
-let check_scheduled ~tol (c : Gen.case) (sched : Schedule.t) =
+let check_scheduled ~tol ~ctx (c : Gen.case) (sched : Schedule.t) =
   let problems = ref [] in
   let problem cat detail = problems := (cat, detail) :: !problems in
   let catching label f =
@@ -149,7 +149,6 @@ let check_scheduled ~tol (c : Gen.case) (sched : Schedule.t) =
         | Error _ -> () (* already reported as Sim_violation *)
         | Ok measured ->
           energy_checked := true;
-          let ctx = ctx_for c.Gen.machine in
           let analytic = Hcv_core.Profile.activity_of_schedule sched ~trip in
           let em =
             Model.total (Model.energy ctx ~config:c.Gen.config measured)
@@ -164,13 +163,18 @@ let check_scheduled ~tol (c : Gen.case) (sched : Schedule.t) =
                   > %.3g)"
                  em ea (rel_err em ea) tol.energy_rel)
       end);
+  (* Checks 7 and 8 share the case's reference profile, computed once
+     (a raise surfaces through whichever check forces it first, and
+     again through the other). *)
+  let profile =
+    lazy
+      (Hcv_core.Profile.profile ~machine:c.Gen.machine ~loops:[ c.Gen.loop ]
+         ())
+  in
   (* 7. The §3.2 compile-time estimate against the scheduled time. *)
   let estimate_checked = ref false in
   catching "estimate" (fun () ->
-      match
-        Hcv_core.Profile.profile ~machine:c.Gen.machine ~loops:[ c.Gen.loop ]
-          ()
-      with
+      match Lazy.force profile with
       | Error _ -> () (* reference profile unobtainable: skip *)
       | Ok profile ->
         let lp = List.hd profile.Hcv_core.Profile.loops in
@@ -198,13 +202,9 @@ let check_scheduled ~tol (c : Gen.case) (sched : Schedule.t) =
   catching "frontier" (fun () ->
       let module S = Hcv_core.Select in
       let module F = Hcv_core.Frontier in
-      match
-        Hcv_core.Profile.profile ~machine:c.Gen.machine ~loops:[ c.Gen.loop ]
-          ()
-      with
+      match Lazy.force profile with
       | Error _ -> () (* reference profile unobtainable: skip *)
       | Ok profile -> (
-        let ctx = ctx_for c.Gen.machine in
         let legacy =
           S.select_heterogeneous ~ctx ~machine:c.Gen.machine profile
         in
@@ -263,8 +263,8 @@ let check_scheduled ~tol (c : Gen.case) (sched : Schedule.t) =
           match F.min_by f F.Ed2 with
           | None -> problem Frontier_mismatch "frontier has no ED2 corner"
           | Some corner ->
-            let cb = Hcv_core.Sweep.choice_to_string corner.F.item in
-            let sb = Hcv_core.Sweep.choice_to_string best in
+            let text ch = Jsonx.to_string (Hcv_core.Sweep.choice_to_json ch) in
+            let cb = text corner.F.item and sb = text best in
             if not (String.equal cb sb) then
               problem Frontier_mismatch
                 ("ED2 corner differs from select_heterogeneous: " ^ cb
@@ -272,13 +272,13 @@ let check_scheduled ~tol (c : Gen.case) (sched : Schedule.t) =
   (!energy_checked, !estimate_checked, !frontier_checked, List.rev !problems)
 
 let check_case ?(tol = default_tolerances) (c : Gen.case) =
+  let ctx = ctx_for c.Gen.machine in
   match
-    let ctx = ctx_for c.Gen.machine in
     Hcv_core.Hsched.schedule ~ctx ~config:c.Gen.config ~loop:c.Gen.loop ()
   with
   | Ok (sched, _stats) ->
     let energy_checked, estimate_checked, frontier_checked, problems =
-      check_scheduled ~tol c sched
+      check_scheduled ~tol ~ctx c sched
     in
     { scheduled = true; energy_checked; estimate_checked; frontier_checked;
       problems }

@@ -45,8 +45,10 @@ let machine_of_cell c =
 
 (* Covers the pipeline, the workload generator and the outcome format:
    bump on any change that invalidates persisted outcomes.
-   v2: outcomes carry the per-cell deterministic trace. *)
-let version_salt = "hcv-sweep-v2"
+   v2: outcomes carry the per-cell deterministic trace.
+   v3: choices nest as JSON objects, and the trace rides as text on a
+   line of its own after the outcome object. *)
+let version_salt = "hcv-sweep-v3"
 
 let cell_key c =
   E.Codec.digest
@@ -62,13 +64,18 @@ let cell_key c =
        string_of_int c.seed;
        (match c.n_loops with None -> "-" | Some n -> string_of_int n);
      ]
-    (* Appended only when present: plain cells keep their pre-frontier
-       keys (no salt bump, old caches stay valid) and frontier cells can
-       never collide with them. *)
+    (* Appended only when present, so frontier cells can never collide
+       with plain ones. *)
     @
     match c.frontier with
     | None -> []
     | Some s -> [ "frontier"; Frontier.spec_key s ])
+
+type trace = { text : string; start : int }
+
+let trace_text t =
+  if t.start = 0 then t.text
+  else String.sub t.text t.start (String.length t.text - t.start)
 
 type outcome = {
   bench : string;
@@ -77,42 +84,38 @@ type outcome = {
   energy_ratio : float;
   fallbacks : int;
   causes : string list;
-  hetero : string;
-  frontier : string list;
+  hetero : E.Jsonx.t;
+  frontier : E.Jsonx.t list;
   error : string option;
-  trace : Hcv_obs.Trace.node option;
+  trace : trace option;
 }
 
-let choice_to_string (c : Select.choice) =
-  E.Jsonx.to_string
-    (E.Jsonx.Obj
-       [
-         ("config", E.Codec.opconfig_to_json c.Select.config);
-         ("ed2", E.Jsonx.Str (E.Codec.float_to_string c.Select.predicted_ed2));
-         ( "t",
-           E.Jsonx.Str (E.Codec.float_to_string c.Select.predicted_time_ns) );
-         ( "e",
-           E.Jsonx.Str (E.Codec.float_to_string c.Select.predicted_energy) );
-       ])
+let choice_to_json (c : Select.choice) =
+  E.Jsonx.Obj
+    [
+      ("config", E.Codec.opconfig_to_json c.Select.config);
+      ("ed2", E.Jsonx.Str (E.Codec.float_to_string c.Select.predicted_ed2));
+      ("t", E.Jsonx.Str (E.Codec.float_to_string c.Select.predicted_time_ns));
+      ("e", E.Jsonx.Str (E.Codec.float_to_string c.Select.predicted_energy));
+    ]
 
-let choice_of_string ~machine s =
-  match E.Jsonx.of_string s with
-  | Error _ -> None
-  | Ok j ->
-    let ( let* ) = Option.bind in
-    let fstr field =
-      Option.bind (Option.bind (E.Jsonx.member field j) E.Jsonx.str)
-        E.Codec.float_of_string
-    in
-    let* config =
-      Option.bind (E.Jsonx.member "config" j)
-        (fun cj -> E.Codec.opconfig_of_json ~machine cj)
-    in
-    let* predicted_ed2 = fstr "ed2" in
-    let* predicted_time_ns = fstr "t" in
-    let* predicted_energy = fstr "e" in
-    Some { Select.config; predicted_ed2; predicted_time_ns; predicted_energy }
+let choice_of_json ~machine j =
+  let ( let* ) = Option.bind in
+  let fstr field =
+    Option.bind (Option.bind (E.Jsonx.member field j) E.Jsonx.str)
+      E.Codec.float_of_string
+  in
+  let* config =
+    Option.bind (E.Jsonx.member "config" j) (E.Codec.opconfig_of_json ~machine)
+  in
+  let* predicted_ed2 = fstr "ed2" in
+  let* predicted_time_ns = fstr "t" in
+  let* predicted_energy = fstr "e" in
+  Some { Select.config; predicted_ed2; predicted_time_ns; predicted_energy }
 
+(* A cached value is the outcome object, then — when the cell carries a
+   trace — a newline and the trace text.  The printer escapes every
+   newline inside a value, so the first raw one ends the object. *)
 let outcome_to_string o =
   let fields =
     [
@@ -121,67 +124,63 @@ let outcome_to_string o =
       ("time", E.Jsonx.Str (E.Codec.float_to_string o.time_ratio));
       ("energy", E.Jsonx.Str (E.Codec.float_to_string o.energy_ratio));
       ("fallbacks", E.Jsonx.Num (float_of_int o.fallbacks));
-      ("hetero", E.Jsonx.Str o.hetero);
+      ("hetero", o.hetero);
     ]
-    (* Written only when non-empty, so entries without fallbacks keep
-       their pre-causes byte form. *)
+    (* The lists are written only when non-empty; absent decodes as []. *)
     @ (match o.causes with
       | [] -> []
       | cs ->
         [ ("causes", E.Jsonx.List (List.map (fun c -> E.Jsonx.Str c) cs)) ])
-    (* Ditto: only frontier cells (whose keys are new) ever write it. *)
-    @ (match o.frontier with
-      | [] -> []
-      | ms ->
-        [ ("frontier", E.Jsonx.List (List.map (fun m -> E.Jsonx.Str m) ms)) ])
-    @ (match o.error with
-      | None -> []
-      | Some msg -> [ ("error", E.Jsonx.Str msg) ])
+    @ (match o.frontier with [] -> [] | ms -> [ ("frontier", E.Jsonx.List ms) ])
     @
-    match o.trace with
-    | None -> []
-    (* Deterministic view only: a cached trace must replay identically
-       whatever the run that produced it. *)
-    | Some node -> [ ("trace", E.Tracex.json_of_node ~wall:false node) ]
+    match o.error with None -> [] | Some msg -> [ ("error", E.Jsonx.Str msg) ]
   in
-  E.Jsonx.to_string (E.Jsonx.Obj fields)
+  let head = E.Jsonx.to_string (E.Jsonx.Obj fields) in
+  match o.trace with None -> head | Some t -> head ^ "\n" ^ trace_text t
 
 let outcome_of_string s =
-  match E.Jsonx.of_string s with
+  (* The trace stays in [s]: copying it out would cost a daemon hit a
+     ~2 KB allocation outside the minor heap for text it never reads. *)
+  let head, trace =
+    match String.index_opt s '\n' with
+    | None -> (s, None)
+    | Some i -> (String.sub s 0 i, Some { text = s; start = i + 1 })
+  in
+  match E.Jsonx.of_string head with
   | Error _ -> None
   | Ok j ->
     let ( let* ) = Option.bind in
+    let member k = E.Jsonx.member k j in
     let fstr field =
-      Option.bind (Option.bind (E.Jsonx.member field j) E.Jsonx.str)
+      Option.bind (Option.bind (member field) E.Jsonx.str)
         E.Codec.float_of_string
     in
-    let* bench = Option.bind (E.Jsonx.member "bench" j) E.Jsonx.str in
+    let* bench = Option.bind (member "bench") E.Jsonx.str in
     let* ed2_ratio = fstr "ed2" in
     let* time_ratio = fstr "time" in
     let* energy_ratio = fstr "energy" in
-    let* fallbacks = Option.bind (E.Jsonx.member "fallbacks" j) E.Jsonx.int in
-    let* hetero = Option.bind (E.Jsonx.member "hetero" j) E.Jsonx.str in
-    (* A pre-causes entry that carries fallbacks is stale: decoding it
-       with [causes = []] would make a warm response differ from a cold
-       recompute of the same cell, so it must miss and recompute.
-       Clean pre-causes entries keep decoding with [causes = []]. *)
+    let* fallbacks = Option.bind (member "fallbacks") E.Jsonx.int in
+    (* A choice is an object ([null] for a failed cell): a v2 value,
+       whose choices are escaped strings, never decodes. *)
+    let* hetero =
+      match member "hetero" with
+      | Some ((E.Jsonx.Obj _ | E.Jsonx.Null) as h) -> Some h
+      | Some _ | None -> None
+    in
     let* causes =
-      match E.Jsonx.member "causes" j with
+      match member "causes" with
+      | None -> Some []
       | Some cj -> Option.map (List.filter_map E.Jsonx.str) (E.Jsonx.list cj)
-      | None -> if fallbacks > 0 then None else Some []
     in
-    (* Only frontier-keyed cells ever wrote this; a successful frontier
-       cell always has at least one member, so [] only decodes for plain
-       or failed cells — no staleness ambiguity. *)
-    let frontier =
-      match E.Jsonx.member "frontier" j with
-      | Some fj ->
-        Option.value ~default:[]
-          (Option.map (List.filter_map E.Jsonx.str) (E.Jsonx.list fj))
-      | None -> []
+    let* frontier =
+      match member "frontier" with
+      | None -> Some []
+      | Some (E.Jsonx.List ms)
+        when List.for_all (function E.Jsonx.Obj _ -> true | _ -> false) ms ->
+        Some ms
+      | Some _ -> None
     in
-    let error = Option.bind (E.Jsonx.member "error" j) E.Jsonx.str in
-    let trace = Option.bind (E.Jsonx.member "trace" j) E.Tracex.node_of_json in
+    let error = Option.bind (member "error") E.Jsonx.str in
     Some
       {
         bench;
@@ -213,6 +212,21 @@ let codec =
 let points_per_ms = 64
 let budget_of_deadline ms = max 1 (ms * points_per_ms)
 
+(* A failed cell keeps its row: NaN ratios and the rendered failure. *)
+let failed_outcome bench msg =
+  {
+    bench;
+    ed2_ratio = Float.nan;
+    time_ratio = Float.nan;
+    energy_ratio = Float.nan;
+    fallbacks = 0;
+    causes = [];
+    hetero = E.Jsonx.Null;
+    frontier = [];
+    error = Some msg;
+    trace = None;
+  }
+
 let run_cell ?budget ~loops_of c =
   let machine = machine_of_cell c in
   let loops = loops_of c in
@@ -238,67 +252,31 @@ let run_cell ?budget ~loops_of c =
           List.map
             (fun (_, d) -> Hcv_obs.Diag.code d)
             r.Pipeline.fallback_causes;
-        hetero = choice_to_string r.Pipeline.hetero;
+        hetero = choice_to_json r.Pipeline.hetero;
         frontier =
           (match r.Pipeline.frontier with
           | None -> []
           | Some f ->
             List.map
               (fun (e : Select.choice Frontier.entry) ->
-                choice_to_string e.Frontier.item)
+                choice_to_json e.Frontier.item)
               (Frontier.members f));
         error = None;
         trace = None;
       }
-    | Error diag ->
-      {
-        bench = c.bench;
-        ed2_ratio = Float.nan;
-        time_ratio = Float.nan;
-        energy_ratio = Float.nan;
-        fallbacks = 0;
-        causes = [];
-        hetero = "";
-        frontier = [];
-        error = Some (Hcv_obs.Diag.to_string diag);
-        trace = None;
-      }
-    | exception e ->
-      {
-        bench = c.bench;
-        ed2_ratio = Float.nan;
-        time_ratio = Float.nan;
-        energy_ratio = Float.nan;
-        fallbacks = 0;
-        causes = [];
-        hetero = "";
-        frontier = [];
-        error = Some (Printexc.to_string e);
-        trace = None;
-      }
+    | Error diag -> failed_outcome c.bench (Hcv_obs.Diag.to_string diag)
+    | exception e -> failed_outcome c.bench (Printexc.to_string e)
   in
   let trace =
-    Option.bind (Hcv_obs.Trace.export sp) (fun node ->
-        E.Tracex.node_of_json (E.Tracex.json_of_node ~wall:false node))
+    Option.map
+      (fun node ->
+        {
+          text = E.Jsonx.to_string (E.Tracex.json_of_node ~wall:false node);
+          start = 0;
+        })
+      (Hcv_obs.Trace.export sp)
   in
   { outcome with trace }
-
-(* A cell the engine's supervisor gave up on (the task raised on every
-   retry attempt): quarantined into the report exactly like a pipeline
-   failure, so the rest of the sweep stands. *)
-let quarantined_outcome (c : cell) diag =
-  {
-    bench = c.bench;
-    ed2_ratio = Float.nan;
-    time_ratio = Float.nan;
-    energy_ratio = Float.nan;
-    fallbacks = 0;
-    causes = [];
-    hetero = "";
-    frontier = [];
-    error = Some (Hcv_obs.Diag.to_string diag);
-    trace = None;
-  }
 
 let run engine ?(label = "sweep") ?(obs = Hcv_obs.Trace.null) ~loops_of cells
     =
@@ -306,16 +284,28 @@ let run engine ?(label = "sweep") ?(obs = Hcv_obs.Trace.null) ~loops_of cells
       let results =
         E.Engine.sweep engine ~obs:sp ~codec (run_cell ~loops_of) cells
       in
+      (* A cell the engine's supervisor gave up on (the task raised on
+         every retry attempt) is reported exactly like a pipeline
+         failure, so the rest of the sweep stands. *)
       let outcomes =
         List.map2
-          (fun c -> function
+          (fun (c : cell) -> function
             | Ok o -> o
-            | Error d -> quarantined_outcome c d)
+            | Error d -> failed_outcome c.bench (Hcv_obs.Diag.to_string d))
           cells results
       in
       (* Graft the per-cell traces in submission order — hit or
-         computed, every cell contributes the same subtree. *)
-      List.iter
-        (fun o -> Option.iter (Hcv_obs.Trace.graft sp) o.trace)
-        outcomes;
+         computed, every cell contributes the same subtree.  A trace is
+         text until here, and is parsed only when someone collects it. *)
+      if Hcv_obs.Trace.enabled sp then
+        List.iter
+          (fun o ->
+            Option.iter
+              (fun t ->
+                match E.Jsonx.of_string (trace_text t) with
+                | Ok j ->
+                  Option.iter (Hcv_obs.Trace.graft sp) (E.Tracex.node_of_json j)
+                | Error _ -> ())
+              o.trace)
+          outcomes;
       outcomes)

@@ -13,8 +13,20 @@
 
     An {!outcome} is the cached distillation of a {!Pipeline.run}: the
     normalised ratios every figure consumes, plus the selected
-    heterogeneous configuration serialized with {!choice_to_string}
-    (floats in exact ["%h"] form so replays are bit-identical). *)
+    heterogeneous configuration as a {!choice_to_json} object (floats
+    in exact ["%h"] form so replays are bit-identical).
+
+    {2 Cached value layout (salt v3)}
+
+    {!outcome_to_string} writes the outcome as one JSON object —
+    ratios, fallback count, causes, the [hetero] choice and any frontier
+    members nested as objects, the error — and, when the cell carries a
+    trace, a newline followed by the trace text.  The JSON printer
+    escapes every newline inside a value, so the first raw newline ends
+    the object.  {!outcome_of_string} parses only the object and leaves
+    the trace as text in place: a daemon hit, which never answers with a
+    trace, neither parses nor copies instrumentation, and {!run} parses
+    a trace only when it grafts it into a collecting span. *)
 
 open Hcv_ir
 open Hcv_machine
@@ -61,13 +73,21 @@ val machine_of_cell : cell -> Machine.t
 val version_salt : string
 
 val cell_key : cell -> string
-(** Digest of the generating inputs.  The frontier spec is folded in
-    only when present, so plain cells keep their pre-frontier keys
-    (existing caches stay valid) and frontier cells never collide with
-    them.  The machine selection is covered through
+(** Digest of the generating inputs and {!version_salt}.  The frontier
+    spec is folded in only when present, so frontier cells never
+    collide with plain ones.  The machine selection is covered through
     {!Hcv_explore.Codec.machine_key}, which appends the full structural
     signature for any non-paper cluster mix — paper cells keep their
     historical keys. *)
+
+type trace = { text : string; start : int }
+(** A cell's deterministic trace (wall times and volatile gauges
+    stripped) as {!Hcv_explore.Tracex.json_of_node} text: the bytes of
+    [text] from [start] on.  A decoded outcome's trace points into the
+    cached value instead of copying it out, so a daemon hit allocates
+    nothing for it; only {!run} reads it, to graft it. *)
+
+val trace_text : trace -> string
 
 type outcome = {
   bench : string;
@@ -78,32 +98,37 @@ type outcome = {
   causes : string list;
       (** diagnostic codes of the estimate fallbacks, in loop order
           (e.g. ["budget-exhausted"]); [[]] when every loop scheduled.
-          Written to the cache only when non-empty, so pre-causes
-          entries decode with [[]] *)
-  hetero : string;
-      (** serialized winning {!Select.choice}; [""] on failure *)
-  frontier : string list;
-      (** serialized frontier members in deterministic member order
-          (each a {!choice_to_string}); [[]] unless the cell carried a
+          Written to the cache only when non-empty *)
+  hetero : Hcv_explore.Jsonx.t;
+      (** the winning {!Select.choice} as a {!choice_to_json} object;
+          [Null] on failure *)
+  frontier : Hcv_explore.Jsonx.t list;
+      (** the frontier members in deterministic member order (each a
+          {!choice_to_json} object); [[]] unless the cell carried a
           frontier spec and the pipeline succeeded.  Like [causes],
           written to the cache only when non-empty *)
   error : string option;
       (** [Some msg] when the pipeline failed; the ratios are then
           [nan] (rendered {!Hcv_obs.Diag.to_string}, so the stage and
           code survive the cache) *)
-  trace : Hcv_obs.Trace.node option;
-      (** the cell's deterministic trace (wall times and volatile gauges
-          stripped); cached with the outcome so warm sweeps replay the
-          spans cold ones collected *)
+  trace : trace option;
+      (** cached with the outcome so warm sweeps replay the spans cold
+          ones collected *)
 }
 
 val outcome_to_string : outcome -> string
-val outcome_of_string : string -> outcome option
 
-val choice_to_string : Select.choice -> string
-val choice_of_string :
-  machine:Machine.t -> string -> Select.choice option
-(** Round-trips {!choice_to_string}; needs the machine to rebind the
+val outcome_of_string : string -> outcome option
+(** The one decoder, for sweeps and the daemon alike.  [None] for
+    anything but the layout above — a value written under an older
+    salt (choices as escaped strings, the trace inline) included — so
+    the engine recomputes the cell. *)
+
+val choice_to_json : Select.choice -> Hcv_explore.Jsonx.t
+
+val choice_of_json :
+  machine:Machine.t -> Hcv_explore.Jsonx.t -> Select.choice option
+(** Round-trips {!choice_to_json}; needs the machine to rebind the
     configuration. *)
 
 val codec : (cell, outcome) Hcv_explore.Engine.codec
@@ -136,6 +161,6 @@ val run :
     [error] renders the quarantine diagnostic, so the rest of the sweep
     report stands; healthy cells are unaffected.  With [?obs] the whole
     sweep runs under a ["sweep:<label>"] span; each cell's trace (hit
-    or computed) is grafted beneath it in submission order, so the
-    deterministic span tree is identical for any [--jobs] value and
-    cache state. *)
+    or computed) is parsed and grafted beneath it in submission order,
+    so the deterministic span tree is identical for any [--jobs] value
+    and cache state.  Without a collecting span no trace is parsed. *)

@@ -110,8 +110,8 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
-let parse_string st =
-  expect st '"';
+(* The rest of a string, character by character, escapes decoded. *)
+let parse_chars st =
   let buf = Buffer.create 16 in
   let rec go () =
     match peek st with
@@ -172,6 +172,22 @@ let parse_string st =
       go ()
   in
   go ()
+
+(* Most strings hold no escape: one scan finds the closing quote and one
+   copy takes them.  Any other string goes to [parse_chars] whole. *)
+let parse_string st =
+  expect st '"';
+  let n = String.length st.s in
+  let rec plain i =
+    if i < n && st.s.[i] <> '"' && st.s.[i] <> '\\' then plain (i + 1) else i
+  in
+  let stop = plain st.pos in
+  if stop < n && st.s.[stop] = '"' then begin
+    let s = String.sub st.s st.pos (stop - st.pos) in
+    st.pos <- stop + 1;
+    s
+  end
+  else parse_chars st
 
 let parse_number st =
   let start = st.pos in
@@ -263,12 +279,24 @@ let of_string s =
 
 (* ----- accessors -------------------------------------------------- *)
 
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
+let member k = function
+  | Obj fields ->
+    (* [String.equal], not the polymorphic compare [List.assoc_opt] uses:
+       a cached outcome's decode makes a dozen lookups. *)
+    let rec find = function
+      | [] -> None
+      | (k', v) :: rest -> if String.equal k k' then Some v else find rest
+    in
+    find fields
+  | _ -> None
 let str = function Str s -> Some s | _ -> None
 let num = function Num f -> Some f | _ -> None
 
+(* Every number parses to a float, which holds every integer only below
+   2^53: past that a literal may already have been rounded. *)
 let int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f when Float.is_integer f && Float.abs f < 0x1p53 ->
+    Some (int_of_float f)
   | _ -> None
 
 let list = function List xs -> Some xs | _ -> None

@@ -30,6 +30,8 @@ val member : string -> t -> t option
 val str : t -> string option
 val num : t -> float option
 val int : t -> int option
-(** A [Num] that is (within one ulp) an integer. *)
+(** A [Num] that is an integer of magnitude below 2{^53}.  Larger
+    literals are refused, since a float no longer holds every integer
+    there and the literal may have been rounded in parsing. *)
 
 val list : t -> t list option

@@ -49,18 +49,21 @@ let bad ?id ?context fmt =
 
 let field j k = J.member k j
 let str_field j k = Option.bind (field j k) J.str
-let int_field j k = Option.bind (field j k) J.int
 let bool_field j k =
   Option.bind (field j k) (function J.Bool b -> Some b | _ -> None)
 
-(* An [int] field that must be a positive integer when present. *)
-let pos_field ?id j k =
+(* An [int] field that, when present, must be an exact integer
+   satisfying [ok]; anything else is refused by name, never defaulted. *)
+let int_field ?id ~what ~ok j k =
   match field j k with
   | None -> Ok None
   | Some v -> (
     match J.int v with
-    | Some n when n > 0 -> Ok (Some n)
-    | Some _ | None -> bad ?id "field %S must be a positive integer" k)
+    | Some n when ok n -> Ok (Some n)
+    | Some _ | None -> bad ?id "field %S must be %s" k what)
+
+let pos_field ?id j k =
+  int_field ?id ~what:"a positive integer" ~ok:(fun n -> n > 0) j k
 
 (* A positive [int] field with an upper bound: the sizes the daemon
    allocates or iterates over are capped at the boundary. *)
@@ -72,12 +75,7 @@ let bounded_field ?id ~max j k =
 (* Like [pos_field] but admitting zero: a zero deadline is the
    fast-fail probe ("answer with whatever you already have"). *)
 let nonneg_field ?id j k =
-  match field j k with
-  | None -> Ok None
-  | Some v -> (
-    match J.int v with
-    | Some n when n >= 0 -> Ok (Some n)
-    | Some _ | None -> bad ?id "field %S must be a non-negative integer" k)
+  int_field ?id ~what:"a non-negative integer" ~ok:(fun n -> n >= 0) j k
 
 (* The optional "machine" field: a family name (string) or an inline
    machine-description object.  Both are validated at the protocol
@@ -170,11 +168,16 @@ let parse line =
               if op = "explore" then Ok None
               else Result.map Option.some (Hcv_core.Frontier.spec_of_json j)
             in
-            match (frontier, bounded_field ~id ~max:max_loops j "loops") with
-            | Error msg, _ -> ret (bad ~id "%s" msg)
-            | _, Error e -> ret (Error e)
-            | Ok frontier, Ok n_loops ->
-              let seed = Option.value (int_field j "seed") ~default:42 in
+            match
+              ( frontier,
+                bounded_field ~id ~max:max_loops j "loops",
+                int_field ~id ~what:"an integer" ~ok:(fun _ -> true) j "seed"
+              )
+            with
+            | Error msg, _, _ -> ret (bad ~id "%s" msg)
+            | _, Error e, _ | _, _, Error e -> ret (Error e)
+            | Ok frontier, Ok n_loops, Ok seed ->
+              let seed = Option.value seed ~default:42 in
               ret
                 (parse_run ~id ?frontier ~name:bench
                    ~source:(Bench { bench; seed; n_loops })

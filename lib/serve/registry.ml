@@ -247,24 +247,8 @@ let result_json (o : Sweep.outcome) =
     @ (match o.Sweep.causes with
       | [] -> []
       | cs -> [ ("causes", J.List (List.map (fun c -> J.Str c) cs)) ])
-    @ [
-        ( "hetero",
-          match J.of_string o.Sweep.hetero with
-          | Ok j -> j
-          | Error _ -> J.Str o.Sweep.hetero );
-      ]
-    @
-    match o.Sweep.frontier with
-    | [] -> []
-    | ms ->
-      [
-        ( "frontier",
-          J.List
-            (List.map
-               (fun m ->
-                 match J.of_string m with Ok j -> j | Error _ -> J.Str m)
-               ms) );
-      ])
+    @ [ ("hetero", o.Sweep.hetero) ]
+    @ match o.Sweep.frontier with [] -> [] | ms -> [ ("frontier", J.List ms) ])
 
 let answer (w : Proto.work) = function
   | Error d -> Error d

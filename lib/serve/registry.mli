@@ -49,8 +49,10 @@ val effective_budget : Proto.work -> int option
 val key : task -> string
 
 val codec : (task, Sweep.outcome) Hcv_explore.Engine.codec
-(** {!key} + the {!Sweep.outcome} serialisation (cache interop with the
-    exploration sweeps). *)
+(** {!key} + {!Sweep.outcome_to_string}/{!Sweep.outcome_of_string}, the
+    one codec the exploration sweeps use too (cache interop).  A hit
+    parses the cached outcome object once and leaves the cell's trace,
+    which no answer carries, as text. *)
 
 val run : task -> Sweep.outcome
 (** One supervised {!Sweep.run_cell} with the task's
@@ -68,7 +70,9 @@ val answer :
       explicit budget), else [budget-exhausted] — both name the
       fallback count;
     - otherwise: the ok ["result"] object (exact ["%h"] float forms,
-      fallback causes included when present). *)
+      fallback causes included when present, and the outcome's
+      [hetero] and frontier subtrees copied as they are, not
+      re-parsed). *)
 
 val response_line :
   id:string -> Proto.work -> (Sweep.outcome, Hcv_obs.Diag.t) result -> string

@@ -12,6 +12,9 @@ open Hcv_check
 
 module F = Frontier
 
+(* A choice's exact cached form, for byte comparisons. *)
+let choice_text c = Hcv_explore.Jsonx.to_string (Sweep.choice_to_json c)
+
 (* ----- vectors and dominance --------------------------------------- *)
 
 let test_vec_components () =
@@ -312,8 +315,8 @@ let test_ed2_corner_is_legacy_selector () =
         (* Exactly — byte-for-byte on the serialized choice, not within
            a tolerance. *)
         Alcotest.(check string) "ED2 corner = select_heterogeneous"
-          (Sweep.choice_to_string legacy)
-          (Sweep.choice_to_string m.F.item))
+          (choice_text legacy)
+          (choice_text m.F.item))
 
 let test_frontier_covers_sweep () =
   with_profile (fun ctx p ->
@@ -340,7 +343,7 @@ let members_bytes f =
   String.concat "\n"
     (List.map
        (fun (m : Select.choice F.entry) ->
-         Printf.sprintf "%d %s" m.F.index (Sweep.choice_to_string m.F.item))
+         Printf.sprintf "%d %s" m.F.index (choice_text m.F.item))
        (F.members f))
 
 let test_pool_identical () =

@@ -65,6 +65,19 @@ let test_accessors () =
   Alcotest.(check (option int)) "int rejects fraction" None
     (Jsonx.int (Jsonx.Num 3.5))
 
+(* A float holds every integer only below 2^53, so [int] refuses any
+   literal from there on: it may already have been rounded. *)
+let test_int_exact () =
+  let int_of s = Option.bind (Result.to_option (Jsonx.of_string s)) Jsonx.int in
+  Alcotest.(check (option int)) "2^53 - 1" (Some 9007199254740991)
+    (int_of "9007199254740991");
+  Alcotest.(check (option int)) "-(2^53 - 1)" (Some (-9007199254740991))
+    (int_of "-9007199254740991");
+  Alcotest.(check (option int)) "2^53" None (int_of "9007199254740992");
+  Alcotest.(check (option int)) "-2^53" None (int_of "-9007199254740992");
+  Alcotest.(check (option int)) "rounded on parsing" None
+    (int_of "4611686018427387000")
+
 (* Adversarial wire input: what the serving plane feeds the codec. *)
 
 let test_torn_input () =
@@ -147,6 +160,7 @@ let suite =
     Alcotest.test_case "float bit-exactness" `Quick test_float_exactness;
     Alcotest.test_case "rejects malformed input" `Quick test_parse_errors;
     Alcotest.test_case "accessors" `Quick test_accessors;
+    Alcotest.test_case "int refuses inexact literals" `Quick test_int_exact;
     Alcotest.test_case "torn lines never half-parse" `Quick test_torn_input;
     Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
     Alcotest.test_case "trailing garbage rejected" `Quick

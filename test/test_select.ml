@@ -7,6 +7,9 @@ open Hcv_machine
 open Hcv_energy
 open Hcv_core
 
+(* A choice's exact cached form, for byte comparisons. *)
+let choice_text c = Hcv_explore.Jsonx.to_string (Sweep.choice_to_json c)
+
 let machine = Presets.machine_4c ~buses:1
 
 let small_loops () =
@@ -78,8 +81,8 @@ let test_budget_prefix () =
         (fun i c ->
           Alcotest.(check (option string))
             (Printf.sprintf "point %d is the serial point %d" i i)
-            (Option.map Sweep.choice_to_string (List.nth full i))
-            (Option.map Sweep.choice_to_string c))
+            (Option.map choice_text (List.nth full i))
+            (Option.map choice_text c))
         budgeted;
       (match Hcv_obs.Trace.export obs with
       | None -> Alcotest.fail "root span exported nothing"
@@ -132,8 +135,8 @@ let test_budgeted_selection_equals_prefix_fold () =
       | None -> Alcotest.fail "prefix had no realisable point"
       | Some best ->
         Alcotest.(check string) "budgeted selection = prefix fold"
-          (Sweep.choice_to_string best)
-          (Sweep.choice_to_string choice))
+          (choice_text best)
+          (choice_text choice))
 
 let test_pool_matches_serial () =
   with_profile (fun p ->
@@ -154,11 +157,11 @@ let test_pool_matches_serial () =
             diag_ok (Select.select_heterogeneous ~budget:9 ~ctx ~machine p)
           in
           Alcotest.(check string) "pool = serial"
-            (Sweep.choice_to_string serial)
-            (Sweep.choice_to_string par);
+            (choice_text serial)
+            (choice_text par);
           Alcotest.(check string) "pool = serial under a budget"
-            (Sweep.choice_to_string serial_budget)
-            (Sweep.choice_to_string par_budget)))
+            (choice_text serial_budget)
+            (choice_text par_budget)))
 
 let suite =
   [

@@ -159,6 +159,36 @@ let test_proto_parse () =
       w.S.Proto.spec.S.Proto.grid_steps
   | _ -> Alcotest.fail "expected Run"
 
+(* A seed that is present must be an exact integer: a string, a
+   fraction or a literal past 2^53 (which a float may have rounded) is
+   refused by name instead of running some other seed. *)
+let test_proto_seed () =
+  let refused line =
+    match S.Proto.parse line with
+    | Ok _ -> Alcotest.failf "accepted %S" line
+    | Error (id, d) ->
+      Alcotest.(check (pair (option string) string))
+        line (Some "a", "bad-request")
+        (id, Hcv_obs.Diag.code d);
+      Alcotest.(check string) (line ^ ": names the field")
+        {|field "seed" must be an integer|} (Hcv_obs.Diag.message d)
+  in
+  refused {|{"id":"a","op":"explore","bench":"wupwise","seed":"7"}|};
+  refused {|{"id":"a","op":"explore","bench":"wupwise","seed":1.5}|};
+  refused {|{"id":"a","op":"explore","bench":"wupwise","seed":18014398509481985}|};
+  refused {|{"id":"a","op":"frontier","bench":"wupwise","seed":null}|};
+  let seed_of line =
+    match (parse_ok line).S.Proto.req with
+    | S.Proto.Run { S.Proto.source = S.Proto.Bench { seed; _ }; _ } -> seed
+    | _ -> Alcotest.fail "expected a bench run"
+  in
+  Alcotest.(check int) "absent seed defaults" 42
+    (seed_of {|{"id":"a","op":"explore","bench":"wupwise"}|});
+  Alcotest.(check int) "largest exact seed" 9007199254740991
+    (seed_of {|{"id":"a","op":"explore","bench":"wupwise","seed":9007199254740991}|});
+  Alcotest.(check int) "negative seed" (-3)
+    (seed_of {|{"id":"a","op":"explore","bench":"wupwise","seed":-3}|})
+
 let test_proto_machine () =
   (* Absent field: the paper machine. *)
   let machine_of line =
@@ -404,6 +434,8 @@ let test_registry_bad_edge_fields () =
   check_field "numeric kind" (graph {|,"kind":3|}) "kind";
   check_field "kind not a token" (graph {|,"kind":"flow #"|}) "kind";
   check_field "string trip" (graph ~loop:{|,"trip":"64"|} "") "trip";
+  check_field "trip past 2^53" (graph ~loop:{|,"trip":9007199254740993|} "")
+    "trip";
   check_field "string weight" (graph ~loop:{|,"weight":"1"|} "") "weight";
   check_field "numeric name"
     {|{"id":"g","op":"schedule","graph":{"name":5,"nodes":[{"n":"a","op":"ld.f"}]}}|}
@@ -507,6 +539,14 @@ let rec rm_tree path =
   | false -> ( try Sys.remove path with Sys_error _ -> ())
   | exception Sys_error _ -> ()
 
+let with_temp_dir tag f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hcvliw-test-%s-%d" tag (Unix.getpid ()))
+  in
+  rm_tree dir;
+  Fun.protect ~finally:(fun () -> rm_tree dir) (fun () -> f dir)
+
 let error_code_of line =
   match S.Proto.parse_response line with
   | Ok { S.Proto.ok = false; error = Some e; _ } -> Hcv_obs.Diag.code e
@@ -571,12 +611,7 @@ let test_dispatch_deterministic () =
          answered twice, each under its own id *)
     ]
   in
-  let dir = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hcvliw-test-serve-%d" (Unix.getpid ())) in
-  rm_tree dir;
-  Fun.protect
-    ~finally:(fun () -> rm_tree dir)
-    (fun () ->
+  with_temp_dir "serve" (fun dir ->
       let answer ?cache ~jobs () =
         with_dispatch ?cache ~jobs (fun d ->
             List.map (S.Dispatch.handle_line d) lines)
@@ -751,6 +786,80 @@ let test_dispatch_guard () =
         Alcotest.(check int) "both counted" 2 (S.Dispatch.served d);
         Alcotest.(check int) "one error" 1 (S.Dispatch.errors d)
       | _ -> Alcotest.fail "expected two responses")
+
+(* ----- the cache: a warm answer is the cold answer ------------------ *)
+
+(* Answer [lines] one by one over the on-disk cache in [dir]; returns the
+   answers and the cache's (hits, misses). *)
+let answer_cached dir lines =
+  let cache = E.Cache.open_dir dir in
+  let engine = E.Engine.create ~jobs:1 ~cache () in
+  Fun.protect
+    ~finally:(fun () -> E.Engine.shutdown engine)
+    (fun () ->
+      let d = S.Dispatch.create engine in
+      let answers = List.map (S.Dispatch.handle_line d) lines in
+      let s = E.Cache.stats cache in
+      (answers, (s.E.Cache.hits, s.E.Cache.misses)))
+
+let answer_uncached lines =
+  with_dispatch ~jobs:1 (fun d -> List.map (S.Dispatch.handle_line d) lines)
+
+let explore_line = {|{"id":"e","op":"explore","bench":"wupwise","loops":1,"seed":7}|}
+
+let test_warm_equals_cold () =
+  let lines =
+    explore_line
+    :: {|{"id":"f","op":"frontier","bench":"wupwise","loops":1,"seed":7}|}
+    :: S.Load.requests ~mix:S.Load.Full ~n_loops:1 ~seed:3 16
+  in
+  let uncached = answer_uncached lines in
+  with_temp_dir "warm" (fun dir ->
+      let cold, _ = answer_cached dir lines in
+      let warm, (hits, misses) = answer_cached dir lines in
+      Alcotest.(check (list string)) "a cold cache changes no byte" uncached
+        cold;
+      Alcotest.(check (list string)) "warm = cold, byte for byte" cold warm;
+      Alcotest.(check bool) "the warm pass hit" true (hits > 0);
+      Alcotest.(check int) "every warm lookup decoded" 0 misses)
+
+(* The CLI's sweeps and the daemon share keys and values: a cell a sweep
+   cached answers the daemon's request for it. *)
+let test_sweep_entry_answers () =
+  let cold = answer_uncached [ explore_line ] in
+  with_temp_dir "shared" (fun dir ->
+      let loops_of (c : Sweep.cell) =
+        Hcv_workload.Specfp.loops ?n_loops:c.Sweep.n_loops ~seed:c.Sweep.seed
+          (Option.get (Hcv_workload.Specfp.find c.Sweep.bench))
+      in
+      let engine = E.Engine.create ~jobs:1 ~cache:(E.Cache.open_dir dir) () in
+      Fun.protect
+        ~finally:(fun () -> E.Engine.shutdown engine)
+        (fun () ->
+          ignore
+            (Sweep.run engine ~loops_of
+               [ Sweep.cell ~n_loops:1 ~seed:7 "wupwise" ]));
+      let warm, stats = answer_cached dir [ explore_line ] in
+      Alcotest.(check (list string)) "answered as by a cold daemon" cold warm;
+      Alcotest.(check (pair int int)) "from the sweep's entry" (1, 0) stats)
+
+(* A value in the salt-v2 layout under the request's key, its ratio
+   doctored so that answering it would show, decodes to nothing: the
+   daemon recomputes the cell and replaces the entry. *)
+let test_stale_layout_recomputed () =
+  let cold = answer_uncached [ explore_line ] in
+  let task = admit_ok explore_line in
+  let stale = { (S.Registry.run task) with Sweep.ed2_ratio = 0.5 } in
+  with_temp_dir "stale" (fun dir ->
+      let cache = E.Cache.open_dir dir in
+      E.Cache.store cache ~key:(S.Registry.key task) (Test_sweep.v2_layout stale);
+      E.Cache.close cache;
+      let answers, stats = answer_cached dir [ explore_line ] in
+      Alcotest.(check (list string)) "recomputed, not answered" cold answers;
+      Alcotest.(check (pair int int)) "the stale value missed" (0, 1) stats;
+      let again, stats = answer_cached dir [ explore_line ] in
+      Alcotest.(check (list string)) "then served" cold again;
+      Alcotest.(check (pair int int)) "from the replacement" (1, 0) stats)
 
 (* ----- server: the socket loop end to end -------------------------- *)
 
@@ -1100,6 +1209,7 @@ let suite =
     Alcotest.test_case "frame survives byte reads and dropped partials"
       `Quick test_frame_drop_partial;
     Alcotest.test_case "proto parses requests" `Quick test_proto_parse;
+    Alcotest.test_case "proto refuses an inexact seed" `Quick test_proto_seed;
     Alcotest.test_case "proto machine field" `Quick test_proto_machine;
     Alcotest.test_case "proto renders responses" `Quick test_proto_responses;
     Alcotest.test_case "registry content keys" `Quick test_registry_keys;
@@ -1122,6 +1232,12 @@ let suite =
     Alcotest.test_case "quarantine repeat is recomputed" `Quick
       test_quarantine_repeat;
     Alcotest.test_case "dispatch guards admission" `Quick test_dispatch_guard;
+    Alcotest.test_case "warm answers equal cold answers" `Slow
+      test_warm_equals_cold;
+    Alcotest.test_case "a sweep's cache entry answers the daemon" `Quick
+      test_sweep_entry_answers;
+    Alcotest.test_case "an old-layout entry is recomputed" `Quick
+      test_stale_layout_recomputed;
     Alcotest.test_case "server socket loop" `Quick test_server_socket;
     Alcotest.test_case "server answers a negative edge distance" `Quick
       test_server_negative_distance;
