@@ -24,8 +24,9 @@ let chaos_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "log" ] ~docv:"FILE"
-          ~doc:"Append one JSON record per armed fault point (its firing \
-                count) to $(docv) (JSONL).")
+          ~doc:"Append one JSON record per armed fault point (the seed as \
+                a string of digits, the point and its firing count) to \
+                $(docv) (JSONL).")
   in
   let run seed jobs n_loops log trace metrics =
     setup_logs ();
@@ -110,7 +111,7 @@ let chaos_cmd =
                     (E.Jsonx.to_string
                        (E.Jsonx.Obj
                           [
-                            ("seed", E.Jsonx.Num (float_of_int seed));
+                            ("seed", E.Jsonx.Str (string_of_int seed));
                             ("point", E.Jsonx.Str (R.Inject.point_name p));
                             ("fires", E.Jsonx.Num (float_of_int n));
                           ]));

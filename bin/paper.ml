@@ -263,6 +263,13 @@ let fig9 =
    row so a failure message survives the cache round-trip. *)
 type abl_row = { values : float list; failure : string option }
 
+let abl_row =
+  E.Decode.(
+    obj "row"
+      (let+ values = req "values" (list E.Codec.hex_float)
+       and+ failure = opt "error" string in
+       { values; failure }))
+
 let abl_codec ~salt =
   {
     E.Engine.cell_key =
@@ -282,19 +289,7 @@ let abl_codec ~salt =
             | Some m -> [ ("error", E.Jsonx.Str m) ]
         in
         E.Jsonx.to_string (E.Jsonx.Obj fields));
-    decode =
-      (fun s ->
-        match E.Jsonx.of_string s with
-        | Error _ -> None
-        | Ok j ->
-          let failure = Option.bind (E.Jsonx.member "error" j) E.Jsonx.str in
-          Option.bind (E.Jsonx.member "values" j) E.Jsonx.list
-          |> Option.map (fun xs ->
-                 List.filter_map
-                   (fun v ->
-                     Option.bind (E.Jsonx.str v) E.Codec.float_of_string)
-                   xs)
-          |> Option.map (fun values -> { values; failure }));
+    decode = (fun s -> Result.to_option (E.Decode.of_string abl_row s));
   }
 
 (* The ablation cells run on worker domains: a failed selection raises,

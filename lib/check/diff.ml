@@ -395,7 +395,7 @@ let run ?pool ?(obs = Hcv_obs.Trace.null) ?(tol = default_tolerances)
 let failure_json f =
   Jsonx.Obj
     [
-      ("seed", Jsonx.Num (float_of_int f.seed));
+      ("seed", Jsonx.Str (string_of_int f.seed));
       ("category", Jsonx.Str (category_to_string f.category));
       ("detail", Jsonx.Str f.detail);
       ("repro", Jsonx.Str f.repro);

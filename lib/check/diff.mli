@@ -103,7 +103,9 @@ val run :
     a fixed seed, whatever the pool size. *)
 
 val failure_json : failure -> Jsonx.t
-(** One JSONL record: seed, category, detail and the printable repro. *)
+(** One JSONL record: seed, category, detail and the printable repro.
+    The seed is a string of its decimal digits, which a JSON number
+    would round past 2{^53}. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Bench-style summary table: case counts, per-category failures. *)

@@ -14,13 +14,8 @@ let objective_name = function
   | Edp -> "edp"
   | Power -> "power"
 
-let objective_of_string = function
-  | "time" -> Some Time
-  | "energy" -> Some Energy
-  | "ed2" -> Some Ed2
-  | "edp" -> Some Edp
-  | "power" -> Some Power
-  | _ -> None
+let objective_names = List.map (fun o -> (objective_name o, o)) all_objectives
+let objective_of_string s = List.assoc_opt s objective_names
 
 let rank = function Time -> 0 | Energy -> 1 | Ed2 -> 2 | Edp -> 3 | Power -> 4
 
@@ -143,59 +138,21 @@ let spec_to_json s =
              s.caps) );
     ]
 
-let spec_of_json j =
-  let ( let* ) = Result.bind in
-  let* objectives =
-    match Jsonx.member "objectives" j with
-    | None | Some Jsonx.Null -> Ok all_objectives
-    | Some v -> (
-        match Jsonx.list v with
-        | None -> Error "frontier objectives: expected a list"
-        | Some items ->
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                match Option.bind (Jsonx.str item) objective_of_string with
-                | Some o -> Ok (o :: acc)
-                | None ->
-                    Error
-                      (Printf.sprintf "frontier objectives: bad entry %s"
-                         (Jsonx.to_string item)))
-              (Ok []) items
-            |> Result.map List.rev)
+let objective = Hcv_explore.Decode.enum objective_names
+
+let spec_fields =
+  let open Hcv_explore.Decode in
+  let+ objectives = dflt "objectives" all_objectives (non_empty objective)
+  and+ caps =
+    dflt "caps" []
+      (list
+         (refine "a [NAME, BOUND] pair with a positive finite bound"
+            (fun (cap, bound) ->
+              if Float.is_finite bound && bound > 0.0 then Some { cap; bound }
+              else None)
+            (pair objective number)))
   in
-  let* caps =
-    match Jsonx.member "caps" j with
-    | None | Some Jsonx.Null -> Ok []
-    | Some v -> (
-        match Jsonx.list v with
-        | None -> Error "frontier caps: expected a list"
-        | Some items ->
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                match Jsonx.list item with
-                | Some [ name; bound ] -> (
-                    match
-                      ( Option.bind (Jsonx.str name) objective_of_string,
-                        Jsonx.num bound )
-                    with
-                    | Some cap, Some b when Float.is_finite b && b > 0.0 ->
-                        Ok ({ cap; bound = b } :: acc)
-                    | _ ->
-                        Error
-                          (Printf.sprintf "frontier caps: bad entry %s"
-                             (Jsonx.to_string item)))
-                | _ ->
-                    Error
-                      (Printf.sprintf
-                         "frontier caps: expected [NAME, BOUND], got %s"
-                         (Jsonx.to_string item)))
-              (Ok []) items
-            |> Result.map List.rev)
-  in
-  if objectives = [] then Error "frontier objectives: empty list"
-  else Ok (spec ~objectives ~caps ())
+  spec ~objectives ~caps ()
 
 type 'a entry = { item : 'a; fvec : vec; index : int }
 

@@ -91,10 +91,10 @@ val spec_key : spec -> string
     {!Sweep.cell_key} folds in for frontier cells. *)
 
 val spec_to_json : spec -> Hcv_explore.Jsonx.t
-val spec_of_json : Hcv_explore.Jsonx.t -> (spec, string) result
-(** Wire form used by the serve protocol:
-    [{"objectives":["time",...],"caps":[["energy",BOUND],...]}];
-    both fields optional with the {!spec} defaults. *)
+
+val spec_fields : spec Hcv_explore.Decode.fields
+(** ["objectives"] (default all) and ["caps"] ([[NAME, BOUND],...],
+    default none), as a [frontier] request and {!spec_to_json} carry them. *)
 
 (** {2 Frontiers} *)
 

@@ -86,52 +86,58 @@ let evaluate ?preplace ?score_mode ?budget ?(obs = Trace.null) ~ctx ~machine
   let causes = List.map (fun (l, d, _) -> (l, d)) fallbacks in
   (loop_results, causes, activity, ed2)
 
-(* The six paper stages as an explicitly composed pass (the flow behind
-   Figures 6-9; see the .mli header).  Each stage runs in its own
-   ["stage:<name>"] span and failures carry the stage's provenance. *)
-let stages ?pool ?budget ?frontier ~params ~machine ~name () =
-  let open Hcv_pass.Pass in
-  let profile_stage =
-    v ~name:"profile" (fun obs loops -> Profile.profile ~obs ~machine ~loops ())
+(* One paper stage: its own ["stage:<name>"] span under [obs], and the
+   stage's name on any diagnostic that escapes without one. *)
+let stage obs name f =
+  Trace.span obs ("stage:" ^ name) (fun sp ->
+      Result.map_error (Diag.with_stage name) (f sp))
+
+let stage_names =
+  [ "profile"; "context"; "homo-optimum"; "select"; "schedule"; "evaluate" ]
+
+(* The six paper stages (the flow behind Figures 6-9; see the .mli
+   header), plus the frontier stage when a spec is given. *)
+let run ?pool ?budget ?frontier ?(params = Params.default) ?(obs = Trace.null)
+    ~machine ~name ~loops () =
+  let ( let* ) = Result.bind in
+  let* profile =
+    stage obs "profile" (fun obs -> Profile.profile ~obs ~machine ~loops ())
   in
-  let context_stage =
-    pure ~name:"context" (fun _obs (profile : Profile.t) ->
+  let* ctx =
+    stage obs "context" (fun _ ->
         let units =
           Units.of_reference ~params ~n_clusters:(Machine.n_clusters machine)
             profile.Profile.activity
         in
-        (profile, Model.ctx ~params ~units ()))
+        Ok (Model.ctx ~params ~units ()))
   in
-  let homo_stage =
-    v ~name:"homo-optimum" (fun obs (profile, ctx) ->
-        Result.map
-          (fun homo -> (profile, ctx, homo))
-          (Select.optimum_homogeneous ~obs ~ctx ~machine profile))
+  let* homo =
+    stage obs "homo-optimum" (fun obs ->
+        Select.optimum_homogeneous ~obs ~ctx ~machine profile)
   in
-  let select_stage =
-    v ~name:"select" (fun obs (profile, ctx, homo) ->
-        Result.bind
-          (Select.select_heterogeneous ?pool ?budget ~obs ~ctx ~machine
-             profile)
-          (fun hetero_pick ->
-            Result.map
-              (fun uniform_pick ->
-                (profile, ctx, homo, hetero_pick, uniform_pick, None))
-              (Select.select_uniform ?pool ?budget ~obs ~ctx ~machine profile)))
+  let* hetero_pick, uniform_pick =
+    stage obs "select" (fun obs ->
+        let* hetero_pick =
+          Select.select_heterogeneous ?pool ?budget ~obs ~ctx ~machine profile
+        in
+        let* uniform_pick =
+          Select.select_uniform ?pool ?budget ~obs ~ctx ~machine profile
+        in
+        Ok (hetero_pick, uniform_pick))
   in
-  (* Composed only when a frontier spec was requested, so the default
+  (* Run only when a frontier spec was requested, so the default
      pipeline's span tree (and its golden-pinned traces) is unchanged. *)
-  let frontier_stage spec =
-    v ~name:"frontier"
-      (fun obs (profile, ctx, homo, hetero_pick, uniform_pick, _) ->
-        Result.map
-          (fun f -> (profile, ctx, homo, hetero_pick, uniform_pick, Some f))
-          (Select.frontier_heterogeneous ?pool ?budget ~obs ~spec ~ctx ~machine
-             profile))
+  let* front =
+    match frontier with
+    | None -> Ok None
+    | Some spec ->
+      stage obs "frontier" (fun obs ->
+          Result.map Option.some
+            (Select.frontier_heterogeneous ?pool ?budget ~obs ~spec ~ctx
+               ~machine profile))
   in
-  let schedule_stage =
-    pure ~name:"schedule"
-      (fun obs (profile, ctx, homo, hetero_pick, uniform_pick, front) ->
+  let* hetero, measured =
+    stage obs "schedule" (fun obs ->
         (* The model picks a heterogeneous candidate; schedule it and
            the best uniform-frequency candidate, and keep whichever
            measures better (the paper's selector likewise falls back to
@@ -150,33 +156,27 @@ let stages ?pool ?budget ?frontier ~params ~machine ~name () =
               (uniform_pick, eval "uniform" uniform_pick);
             ]
         in
-        let hetero, measured =
-          Hcv_support.Listx.min_by (fun (_, (_, _, _, ed2)) -> ed2) candidates
-        in
-        (profile, ctx, homo, hetero, front, measured))
+        Ok (Hcv_support.Listx.min_by (fun (_, (_, _, _, e)) -> e) candidates))
   in
-  let evaluate_stage =
-    pure ~name:"evaluate"
-      (fun obs (profile, ctx, homo, hetero, front, measured) ->
-        let loop_results, fallback_causes, hetero_activity, ed2_hetero =
-          measured
-        in
-        let homo_ct =
-          (Opconfig.point homo.Select.config (Comp.Cluster 0))
-            .Opconfig.cycle_time
-        in
-        let homo_activity = Profile.scale_cycle_time profile homo_ct in
-        let ed2_homo = Model.ed2 ctx ~config:homo.Select.config homo_activity in
-        let e_homo =
-          Model.total
-            (Model.energy ctx ~config:homo.Select.config homo_activity)
-        in
-        let e_het =
-          Model.total
-            (Model.energy ctx ~config:hetero.Select.config hetero_activity)
-        in
-        Trace.add obs "evaluate.loops" (List.length loop_results);
-        Trace.add obs "evaluate.fallbacks" (List.length fallback_causes);
+  stage obs "evaluate" (fun obs ->
+      let loop_results, fallback_causes, hetero_activity, ed2_hetero =
+        measured
+      in
+      let homo_ct =
+        (Opconfig.point homo.Select.config (Comp.Cluster 0)).Opconfig.cycle_time
+      in
+      let homo_activity = Profile.scale_cycle_time profile homo_ct in
+      let ed2_homo = Model.ed2 ctx ~config:homo.Select.config homo_activity in
+      let e_homo =
+        Model.total (Model.energy ctx ~config:homo.Select.config homo_activity)
+      in
+      let e_het =
+        Model.total
+          (Model.energy ctx ~config:hetero.Select.config hetero_activity)
+      in
+      Trace.add obs "evaluate.loops" (List.length loop_results);
+      Trace.add obs "evaluate.fallbacks" (List.length fallback_causes);
+      Ok
         {
           name;
           profile;
@@ -196,22 +196,6 @@ let stages ?pool ?budget ?frontier ~params ~machine ~name () =
             /. homo_activity.Activity.exec_time_ns;
           energy_ratio = e_het /. e_homo;
         })
-  in
-  let head = profile_stage >>> context_stage >>> homo_stage >>> select_stage in
-  let head =
-    match frontier with
-    | None -> head
-    | Some spec -> head >>> frontier_stage spec
-  in
-  head >>> schedule_stage >>> evaluate_stage
-
-let stage_names = [ "profile"; "context"; "homo-optimum"; "select"; "schedule"; "evaluate" ]
-
-let run ?pool ?budget ?frontier ?(params = Params.default) ?(obs = Trace.null)
-    ~machine ~name ~loops () =
-  Hcv_pass.Pass.run ~obs
-    (stages ?pool ?budget ?frontier ~params ~machine ~name ())
-    loops
 
 let measure_config ?preplace ?score_mode ?budget ?obs ~ctx ~machine ~profile
     ~config () =

@@ -1,6 +1,5 @@
 (** End-to-end evaluation of one benchmark (the flow behind the paper's
-    Figures 6-9), composed as an explicit staged pass
-    ({!Hcv_pass.Pass}):
+    Figures 6-9), in six named stages:
 
     1. [profile] — profile the loops on the reference homogeneous
        machine;

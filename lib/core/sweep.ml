@@ -99,19 +99,26 @@ let choice_to_json (c : Select.choice) =
       ("e", E.Jsonx.Str (E.Codec.float_to_string c.Select.predicted_energy));
     ]
 
+let choice =
+  E.Decode.(
+    obj "choice"
+      (let+ config = req "config" E.Codec.opconfig
+       and+ predicted_ed2 = req "ed2" E.Codec.hex_float
+       and+ predicted_time_ns = req "t" E.Codec.hex_float
+       and+ predicted_energy = req "e" E.Codec.hex_float in
+       fun machine ->
+         Option.map
+           (fun config ->
+             {
+               Select.config;
+               predicted_ed2;
+               predicted_time_ns;
+               predicted_energy;
+             })
+           (config machine)))
+
 let choice_of_json ~machine j =
-  let ( let* ) = Option.bind in
-  let fstr field =
-    Option.bind (Option.bind (E.Jsonx.member field j) E.Jsonx.str)
-      E.Codec.float_of_string
-  in
-  let* config =
-    Option.bind (E.Jsonx.member "config" j) (E.Codec.opconfig_of_json ~machine)
-  in
-  let* predicted_ed2 = fstr "ed2" in
-  let* predicted_time_ns = fstr "t" in
-  let* predicted_energy = fstr "e" in
-  Some { Select.config; predicted_ed2; predicted_time_ns; predicted_energy }
+  match E.Decode.run choice j with Ok bind -> bind machine | Error _ -> None
 
 (* A cached value is the outcome object, then — when the cell carries a
    trace — a newline and the trace text.  The printer escapes every
@@ -138,6 +145,39 @@ let outcome_to_string o =
   let head = E.Jsonx.to_string (E.Jsonx.Obj fields) in
   match o.trace with None -> head | Some t -> head ^ "\n" ^ trace_text t
 
+(* A choice is an object ([null] for a failed cell): a v2 value, whose
+   choices are escaped strings, never decodes. *)
+let outcome =
+  let choice_json =
+    E.Decode.refine "a choice object"
+      (function E.Jsonx.Obj _ as c -> Some c | _ -> None)
+      E.Decode.json
+  in
+  E.Decode.(
+    obj "outcome"
+      (let+ bench = req "bench" string
+       and+ ed2_ratio = req "ed2" E.Codec.hex_float
+       and+ time_ratio = req "time" E.Codec.hex_float
+       and+ energy_ratio = req "energy" E.Codec.hex_float
+       and+ fallbacks = req "fallbacks" int
+       and+ hetero = req "hetero" (nullable choice_json)
+       and+ causes = dflt "causes" [] (list string)
+       and+ frontier = dflt "frontier" [] (list choice_json)
+       and+ error = opt "error" string in
+       fun trace ->
+         {
+           bench;
+           ed2_ratio;
+           time_ratio;
+           energy_ratio;
+           fallbacks;
+           causes;
+           hetero = Option.value hetero ~default:E.Jsonx.Null;
+           frontier;
+           error;
+           trace;
+         }))
+
 let outcome_of_string s =
   (* The trace stays in [s]: copying it out would cost a daemon hit a
      ~2 KB allocation outside the minor heap for text it never reads. *)
@@ -146,54 +186,9 @@ let outcome_of_string s =
     | None -> (s, None)
     | Some i -> (String.sub s 0 i, Some { text = s; start = i + 1 })
   in
-  match E.Jsonx.of_string head with
+  match E.Decode.of_string outcome head with
+  | Ok with_trace -> Some (with_trace trace)
   | Error _ -> None
-  | Ok j ->
-    let ( let* ) = Option.bind in
-    let member k = E.Jsonx.member k j in
-    let fstr field =
-      Option.bind (Option.bind (member field) E.Jsonx.str)
-        E.Codec.float_of_string
-    in
-    let* bench = Option.bind (member "bench") E.Jsonx.str in
-    let* ed2_ratio = fstr "ed2" in
-    let* time_ratio = fstr "time" in
-    let* energy_ratio = fstr "energy" in
-    let* fallbacks = Option.bind (member "fallbacks") E.Jsonx.int in
-    (* A choice is an object ([null] for a failed cell): a v2 value,
-       whose choices are escaped strings, never decodes. *)
-    let* hetero =
-      match member "hetero" with
-      | Some ((E.Jsonx.Obj _ | E.Jsonx.Null) as h) -> Some h
-      | Some _ | None -> None
-    in
-    let* causes =
-      match member "causes" with
-      | None -> Some []
-      | Some cj -> Option.map (List.filter_map E.Jsonx.str) (E.Jsonx.list cj)
-    in
-    let* frontier =
-      match member "frontier" with
-      | None -> Some []
-      | Some (E.Jsonx.List ms)
-        when List.for_all (function E.Jsonx.Obj _ -> true | _ -> false) ms ->
-        Some ms
-      | Some _ -> None
-    in
-    let error = Option.bind (member "error") E.Jsonx.str in
-    Some
-      {
-        bench;
-        ed2_ratio;
-        time_ratio;
-        energy_ratio;
-        fallbacks;
-        causes;
-        hetero;
-        frontier;
-        error;
-        trace;
-      }
 
 let codec =
   {
@@ -302,9 +297,8 @@ let run engine ?(label = "sweep") ?(obs = Hcv_obs.Trace.null) ~loops_of cells
           (fun o ->
             Option.iter
               (fun t ->
-                match E.Jsonx.of_string (trace_text t) with
-                | Ok j ->
-                  Option.iter (Hcv_obs.Trace.graft sp) (E.Tracex.node_of_json j)
+                match E.Decode.of_string E.Tracex.node (trace_text t) with
+                | Ok node -> Hcv_obs.Trace.graft sp node
                 | Error _ -> ())
               o.trace)
           outcomes;

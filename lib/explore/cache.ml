@@ -61,23 +61,23 @@ let record_to_string k v =
          ("c", Jsonx.Str (Hcv_support.Crc32.hex (Hcv_support.Crc32.string (crc_payload k v))));
        ])
 
-(* A line is good when it parses to an object with string "k"/"v"
-   fields and, for v3 records, the "c" CRC matches.  v2 records (no
-   "c") stay readable so an existing cache file round-trips. *)
+(* A line is good when it is a record with string "k"/"v" fields and,
+   for v3 records, a matching "c" CRC.  v2 records (no "c") stay
+   readable so an existing cache file round-trips. *)
+let record =
+  Decode.(
+    obj "record"
+      (let+ k = req "k" string
+       and+ v = req "v" string
+       and+ c = opt "c" string in
+       (k, v, c)))
+
 let entry_of_line line =
-  match Jsonx.of_string line with
-  | Ok j -> (
-    match (Option.bind (Jsonx.member "k" j) Jsonx.str,
-           Option.bind (Jsonx.member "v" j) Jsonx.str)
-    with
-    | Some k, Some v -> (
-      match Option.bind (Jsonx.member "c" j) Jsonx.str with
-      | None -> Some (k, v)
-      | Some crc ->
-        if Hcv_support.Crc32.check_hex (crc_payload k v) crc then Some (k, v)
-        else None)
-    | _, _ -> None)
-  | Error _ -> None
+  match Decode.of_string record line with
+  | Ok (k, v, None) -> Some (k, v)
+  | Ok (k, v, Some c) when Hcv_support.Crc32.check_hex (crc_payload k v) c ->
+    Some (k, v)
+  | Ok _ | Error _ -> None
 
 (* Quarantine a corrupt line: preserved verbatim in cache.rej for
    forensics, dropped from the live table.  Best-effort — quarantine
@@ -199,6 +199,11 @@ let demote_hit t =
         t.misses <- t.misses + 1
       end)
 
+(* Called under the mutex: flush and close the append channel. *)
+let release t =
+  Option.iter close_out_noerr t.out;
+  t.out <- None
+
 let out_channel t dir =
   match t.out with
   | Some oc -> oc
@@ -244,11 +249,7 @@ let append t dir ~key record =
   | () -> ()
   | exception Sys_error msg ->
     t.degraded <- true;
-    (match t.out with
-    | Some oc ->
-      t.out <- None;
-      close_out_noerr oc
-    | None -> ());
+    release t;
     t.warn
       (Hcv_obs.Diag.v ~code:"cache-unwritable"
          ~context:[ ("dir", dir); ("error", msg) ]
@@ -269,13 +270,8 @@ let compact t =
       | Some dir -> (
         let path = Filename.concat dir file_name in
         let tmp = Filename.concat dir tmp_file in
-        (* Flush and release the append channel: the rename below
-           replaces the file under it. *)
-        (match t.out with
-        | Some oc ->
-          t.out <- None;
-          close_out_noerr oc
-        | None -> ());
+        (* The rename below replaces the file under the channel. *)
+        release t;
         let keys =
           List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
         in
@@ -317,10 +313,4 @@ let stats t =
         misses = t.misses;
       })
 
-let close t =
-  Mutex.protect t.mutex (fun () ->
-      match t.out with
-      | None -> ()
-      | Some oc ->
-        t.out <- None;
-        close_out_noerr oc)
+let close t = Mutex.protect t.mutex (fun () -> release t)

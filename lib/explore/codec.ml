@@ -5,7 +5,6 @@ open Hcv_energy
 let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
 let float_to_string f = Printf.sprintf "%h" f
-let float_of_string s = float_of_string_opt s
 
 let q_to_string q = Printf.sprintf "%d/%d" (Q.num q) (Q.den q)
 
@@ -66,17 +65,6 @@ let point_to_json (p : Opconfig.point) =
       ("vdd", Jsonx.Str (float_to_string p.Opconfig.vdd));
     ]
 
-let point_of_json j =
-  match
-    ( Option.bind (Jsonx.member "ct" j) Jsonx.str,
-      Option.bind (Jsonx.member "vdd" j) Jsonx.str )
-  with
-  | Some ct, Some vdd -> (
-    match (q_of_string ct, float_of_string vdd) with
-    | Some cycle_time, Some vdd -> Some { Opconfig.cycle_time; vdd }
-    | _, _ -> None)
-  | _, _ -> None
-
 let opconfig_to_json (c : Opconfig.t) =
   Jsonx.Obj
     [
@@ -88,24 +76,27 @@ let opconfig_to_json (c : Opconfig.t) =
       ("cache", point_to_json c.Opconfig.cache_point);
     ]
 
-let opconfig_of_json ~machine j =
-  let ( let* ) = Option.bind in
-  let* clusters = Option.bind (Jsonx.member "clusters" j) Jsonx.list in
-  let* icn = Jsonx.member "icn" j in
-  let* cache = Jsonx.member "cache" j in
-  let* cluster_points =
-    List.fold_left
-      (fun acc p ->
-        match (acc, point_of_json p) with
-        | Some acc, Some p -> Some (p :: acc)
-        | _, _ -> None)
-      (Some []) clusters
-    |> Option.map (fun l -> Array.of_list (List.rev l))
-  in
-  let* icn_point = point_of_json icn in
-  let* cache_point = point_of_json cache in
-  if Array.length cluster_points <> Machine.n_clusters machine then None
-  else
-    match Opconfig.make ~machine ~cluster_points ~icn_point ~cache_point with
-    | c -> Some c
-    | exception Invalid_argument _ -> None
+let hex_float =
+  Decode.refine "an exact float string" float_of_string_opt Decode.string
+
+let point =
+  Decode.(
+    obj "point"
+      (let+ cycle_time =
+         req "ct" (refine "a rational \"num/den\"" q_of_string string)
+       and+ vdd = req "vdd" hex_float in
+       { Opconfig.cycle_time; vdd }))
+
+let opconfig =
+  Decode.(
+    obj "config"
+      (let+ clusters = req "clusters" (list point)
+       and+ icn_point = req "icn" point
+       and+ cache_point = req "cache" point in
+       fun machine ->
+         let cluster_points = Array.of_list clusters in
+         match
+           Opconfig.make ~machine ~cluster_points ~icn_point ~cache_point
+         with
+         | c -> Some c
+         | exception Invalid_argument _ -> None))

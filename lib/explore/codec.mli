@@ -16,8 +16,6 @@ val digest : string list -> string
 val float_to_string : float -> string
 (** Exact ["%h"] encoding. *)
 
-val float_of_string : string -> float option
-
 val q_to_string : Q.t -> string
 val q_of_string : string -> Q.t option
 
@@ -31,7 +29,12 @@ val machine_key : Machine.t -> string
 
 val params_key : Params.t -> string
 
+val hex_float : float Decode.t
+(** A {!float_to_string} string. *)
+
 val opconfig_to_json : Opconfig.t -> Jsonx.t
-val opconfig_of_json : machine:Machine.t -> Jsonx.t -> Opconfig.t option
-(** Rebinds the configuration to [machine]; [None] on shape mismatch or
-    malformed JSON. *)
+
+val opconfig : (Machine.t -> Opconfig.t option) Decode.t
+(** Reads what {!opconfig_to_json} writes; the result rebinds it to a
+    machine, [None] when the cluster count or an operating point does
+    not fit it. *)

@@ -71,15 +71,12 @@ let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
 
 let advance st = st.pos <- st.pos + 1
 
-let skip_ws st =
-  let rec go () =
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      go ()
-    | _ -> ()
-  in
-  go ()
+(* The first position from [i] on whose character is not [ok]. *)
+let rec scan st ok i =
+  if i < String.length st.s && ok st.s.[i] then scan st ok (i + 1) else i
+
+let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+let skip_ws st = st.pos <- scan st is_ws st.pos
 
 let expect st c =
   match peek st with
@@ -89,14 +86,10 @@ let expect st c =
 
 let literal st word v =
   let n = String.length word in
-  if
-    st.pos + n <= String.length st.s
-    && String.sub st.s st.pos n = word
-  then begin
-    st.pos <- st.pos + n;
-    v
-  end
-  else parse_error "bad literal at %d" st.pos
+  if st.pos + n > String.length st.s || String.sub st.s st.pos n <> word then
+    parse_error "bad literal at %d" st.pos;
+  st.pos <- st.pos + n;
+  v
 
 let add_utf8 buf code =
   if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -110,6 +103,16 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+(* The character a one-letter escape stands for. *)
+let unescape st = function
+  | ('"' | '\\' | '/') as c -> c
+  | 'n' -> '\n'
+  | 'r' -> '\r'
+  | 't' -> '\t'
+  | 'b' -> '\b'
+  | 'f' -> '\012'
+  | _ -> parse_error "bad escape at %d" st.pos
+
 (* The rest of a string, character by character, escapes decoded. *)
 let parse_chars st =
   let buf = Buffer.create 16 in
@@ -119,41 +122,9 @@ let parse_chars st =
     | Some '"' ->
       advance st;
       Buffer.contents buf
-    | Some '\\' -> (
+    | Some '\\' ->
       advance st;
-      match peek st with
-      | Some '"' ->
-        advance st;
-        Buffer.add_char buf '"';
-        go ()
-      | Some '\\' ->
-        advance st;
-        Buffer.add_char buf '\\';
-        go ()
-      | Some '/' ->
-        advance st;
-        Buffer.add_char buf '/';
-        go ()
-      | Some 'n' ->
-        advance st;
-        Buffer.add_char buf '\n';
-        go ()
-      | Some 'r' ->
-        advance st;
-        Buffer.add_char buf '\r';
-        go ()
-      | Some 't' ->
-        advance st;
-        Buffer.add_char buf '\t';
-        go ()
-      | Some 'b' ->
-        advance st;
-        Buffer.add_char buf '\b';
-        go ()
-      | Some 'f' ->
-        advance st;
-        Buffer.add_char buf '\012';
-        go ()
+      (match peek st with
       | Some 'u' ->
         advance st;
         if st.pos + 4 > String.length st.s then
@@ -162,10 +133,13 @@ let parse_chars st =
         (match int_of_string_opt ("0x" ^ hex) with
         | Some code ->
           st.pos <- st.pos + 4;
-          add_utf8 buf code;
-          go ()
+          add_utf8 buf code
         | None -> parse_error "bad \\u escape %S" hex)
-      | _ -> parse_error "bad escape at %d" st.pos)
+      | Some c ->
+        Buffer.add_char buf (unescape st c);
+        advance st
+      | None -> parse_error "bad escape at %d" st.pos);
+      go ()
     | Some c ->
       advance st;
       Buffer.add_char buf c;
@@ -189,20 +163,40 @@ let parse_string st =
   end
   else parse_chars st
 
+let is_numeric = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
 let parse_number st =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-      advance st;
-      go ()
-    | _ -> ()
-  in
-  go ();
+  st.pos <- scan st is_numeric start;
   let tok = String.sub st.s start (st.pos - start) in
   match float_of_string_opt tok with
   | Some f -> Num f
   | None -> parse_error "bad number %S at %d" tok start
+
+(* The comma-separated items of a list or an object, up to [close]. *)
+let items st close item =
+  advance st;
+  skip_ws st;
+  if st.pos < String.length st.s && st.s.[st.pos] = close then begin
+    advance st;
+    []
+  end
+  else
+    let rec go acc =
+      let v = item st in
+      skip_ws st;
+      match peek st with
+      | Some ',' ->
+        advance st;
+        go (v :: acc)
+      | Some c when c = close ->
+        advance st;
+        List.rev (v :: acc)
+      | _ -> parse_error "expected , or %c at %d" close st.pos
+    in
+    go []
 
 let rec parse_value st =
   skip_ws st;
@@ -212,58 +206,16 @@ let rec parse_value st =
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
   | Some 'n' -> literal st "null" Null
-  | Some '[' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some ']' then begin
-      advance st;
-      List []
-    end
-    else begin
-      let rec items acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          items (v :: acc)
-        | Some ']' ->
-          advance st;
-          List.rev (v :: acc)
-        | _ -> parse_error "expected , or ] at %d" st.pos
-      in
-      List (items [])
-    end
+  | Some '[' -> List (items st ']' parse_value)
   | Some '{' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some '}' then begin
-      advance st;
-      Obj []
-    end
-    else begin
-      let field () =
-        skip_ws st;
-        let k = parse_string st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        (k, v)
-      in
-      let rec fields acc =
-        let kv = field () in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          fields (kv :: acc)
-        | Some '}' ->
-          advance st;
-          List.rev (kv :: acc)
-        | _ -> parse_error "expected , or } at %d" st.pos
-      in
-      Obj (fields [])
-    end
+    let field st =
+      skip_ws st;
+      let k = parse_string st in
+      skip_ws st;
+      expect st ':';
+      (k, parse_value st)
+    in
+    Obj (items st '}' field)
   | Some ('0' .. '9' | '-') -> parse_number st
   | Some c -> parse_error "unexpected character %c at %d" c st.pos
 
@@ -281,13 +233,9 @@ let of_string s =
 
 let member k = function
   | Obj fields ->
-    (* [String.equal], not the polymorphic compare [List.assoc_opt] uses:
-       a cached outcome's decode makes a dozen lookups. *)
-    let rec find = function
-      | [] -> None
-      | (k', v) :: rest -> if String.equal k k' then Some v else find rest
-    in
-    find fields
+    List.find_map
+      (fun (k', v) -> if String.equal k k' then Some v else None)
+      fields
   | _ -> None
 let str = function Str s -> Some s | _ -> None
 let num = function Num f -> Some f | _ -> None

@@ -1,7 +1,7 @@
 (** A minimal self-contained JSON reader/writer for the result cache,
     machine descriptions, the trace export and the serve wire protocol
     (the toolchain has no JSON library and the build must not grow
-    dependencies).
+    dependencies); readers take its values apart with {!Decode}.
 
     Floats are printed with 17 significant digits, which round-trips
     every finite IEEE-754 double exactly — cache replays must reproduce

@@ -12,130 +12,85 @@
              | { "kind": "uniform",  "steps": 8, "top": "20/9" }
              | { "kind": "dividers", "steps": 8, "base": "20/9" } }
 
-   "icn" and "grid" are optional (1 bus / 1 cycle, unrestricted);
-   cluster "name" and "regs" are optional ("c<i>", 16).  Rationals use
-   Codec's exact "num/den" form.  [to_string] emits every field
-   explicitly, so it is a canonical form: structurally equal machines
-   serialise byte-identically, which is what lets the serialised text
-   serve as a cache-key component. *)
+   [decoder] declares each field's type, range and default; the .mli
+   says why [to_string] is canonical. *)
 
 open Hcv_support
 open Hcv_machine
 module J = Jsonx
-
-let ( let* ) = Result.bind
-
-let err fmt = Format.kasprintf (fun msg -> Error msg) fmt
+open Decode
 
 (* Selection time is linear in a grid's steps, so every boundary a grid
    arrives through caps them; 64 is four times Figure 7's densest
    grid. *)
 let max_grid_steps = 64
 
-let int_field ?default j k =
-  match J.member k j with
-  | None -> (
-    match default with
-    | Some d -> Ok d
-    | None -> err "missing integer field %S" k)
-  | Some v -> (
-    match J.int v with
-    | Some n when n >= 0 -> Ok n
-    | Some _ -> err "field %S must be non-negative" k
-    | None -> err "field %S must be an integer" k)
+let count = int_in 0
 
-let q_field j k =
-  match Option.bind (J.member k j) J.str with
-  | None -> err "grid needs a rational string field %S (e.g. \"20/9\")" k
-  | Some s -> (
-    match Codec.q_of_string s with
-    | Some q when Q.(zero < q) -> Ok q
-    | Some _ -> err "field %S must be a positive rational" k
-    | None -> err "field %S is not a rational (\"num/den\")" k)
+let rational =
+  refine "a positive rational \"num/den\""
+    (fun s ->
+      Option.bind (Codec.q_of_string s) (fun q ->
+          if Q.(zero < q) then Some q else None))
+    string
 
-let cluster_of_json i j =
-  match j with
-  | J.Obj _ ->
-    let* int_fus = int_field j "int" in
-    let* fp_fus = int_field j "fp" in
-    let* mem_ports = int_field j "mem" in
-    let* registers = int_field ~default:16 j "regs" in
-    let name =
-      Option.value
-        (Option.bind (J.member "name" j) J.str)
-        ~default:(Printf.sprintf "c%d" i)
-    in
-    Ok (Cluster.make ~name ~int_fus ~fp_fus ~mem_ports ~registers ())
-  | _ -> err "cluster %d must be a JSON object" i
+(* A cluster's default name is its position, known only to the list. *)
+let cluster =
+  obj "cluster"
+    (let+ name = opt "name" string
+     and+ int_fus = req "int" count
+     and+ fp_fus = req "fp" count
+     and+ mem_ports = req "mem" count
+     and+ registers = dflt "regs" 16 count in
+     fun i ->
+       let name = Option.value name ~default:(Printf.sprintf "c%d" i) in
+       Cluster.make ~name ~int_fus ~fp_fus ~mem_ports ~registers ())
 
-let icn_of_json = function
-  | None -> Ok (Icn.make ~buses:1 ())
-  | Some j ->
-    let* buses = int_field ~default:1 j "buses" in
-    let* latency = int_field ~default:1 j "latency" in
-    if buses < 1 then err "icn \"buses\" must be >= 1"
-    else if latency < 1 then err "icn \"latency\" must be >= 1"
-    else Ok (Icn.make ~latency_cycles:latency ~buses ())
+let icn =
+  obj "icn"
+    (let+ buses = dflt "buses" 1 (int_in 1)
+     and+ latency = dflt "latency" 1 (int_in 1) in
+     Icn.make ~latency_cycles:latency ~buses ())
 
-let grid_of_json = function
-  | None -> Ok Freqgrid.Unrestricted
-  | Some (J.Str "unrestricted") -> Ok Freqgrid.Unrestricted
-  | Some (J.Obj _ as j) -> (
-    let* steps = int_field j "steps" in
-    if steps < 1 then err "grid \"steps\" must be >= 1"
-    else if steps > max_grid_steps then
-      err "grid \"steps\" must be at most %d" max_grid_steps
-    else
-      match Option.bind (J.member "kind" j) J.str with
-      | Some "uniform" ->
-        let* top = q_field j "top" in
-        Ok (Freqgrid.uniform ~steps ~top)
-      | Some "dividers" ->
-        let* base = q_field j "base" in
-        Ok (Freqgrid.dividers ~steps ~base)
-      | Some k -> err "unknown grid kind %S" k
-      | None -> err "grid needs \"kind\": \"uniform\" or \"dividers\"")
-  | Some _ -> err "\"grid\" must be \"unrestricted\" or an object"
+let steps = req "steps" (int_in 1 ~max:max_grid_steps)
 
-let of_json j =
-  match j with
-  | J.Obj _ -> (
-    let name =
-      Option.value (Option.bind (J.member "name" j) J.str) ~default:"custom"
-    in
-    match Option.bind (J.member "clusters" j) J.list with
-    | None -> err "machine needs a \"clusters\" list"
-    | Some [] -> err "machine needs at least one cluster"
-    | Some cs ->
-      let* clusters =
-        List.fold_left
-          (fun acc (i, c) ->
-            let* acc = acc in
-            let* c = cluster_of_json i c in
-            Ok (c :: acc))
-          (Ok [])
-          (List.mapi (fun i c -> (i, c)) cs)
-      in
-      let clusters = Array.of_list (List.rev clusters) in
-      let* icn = icn_of_json (J.member "icn" j) in
-      let* grid = grid_of_json (J.member "grid" j) in
-      (* Structural validity beyond the constructors: a machine no part
-         of which can execute some demanded kind is caught later, per
-         workload; a machine with no issue capacity at all is caught
-         here. *)
-      if
-        not
-          (List.exists
-             (fun k -> Machine.supports { name; clusters; icn; grid } k)
-             Hcv_ir.Opcode.all_fu_kinds)
-      then err "machine has no functional units on any cluster"
-      else Ok (Machine.make ~name ~grid ~clusters ~icn ()))
-  | _ -> err "machine description must be a JSON object"
+let grid_object =
+  tagged "grid" "kind"
+    [
+      ( "uniform",
+        let+ steps
+        and+ top = req "top" rational in
+        Freqgrid.uniform ~steps ~top );
+      ( "dividers",
+        let+ steps
+        and+ base = req "base" rational in
+        Freqgrid.dividers ~steps ~base );
+    ]
 
-let of_string s =
-  match J.of_string s with
-  | Error msg -> err "machine description: %s" msg
-  | Ok j -> of_json j
+let grid =
+  let unrestricted = enum [ ("unrestricted", Freqgrid.Unrestricted) ] in
+  union "\"unrestricted\" or a grid object" (function
+    | J.Str _ -> Some unrestricted
+    | J.Obj _ -> Some grid_object
+    | _ -> None)
+
+(* Structural validity beyond the constructors: a machine no part of
+   which can execute some demanded kind is caught later, per workload;
+   a machine with no issue capacity at all is caught here. *)
+let decoder =
+  refine "a machine with a functional unit"
+    (fun m ->
+      if List.exists (Machine.supports m) Hcv_ir.Opcode.all_fu_kinds then Some m
+      else None)
+    (obj "machine"
+       (let+ name = dflt "name" "custom" string
+        and+ clusters = req "clusters" (non_empty cluster)
+        and+ icn = dflt "icn" (Icn.make ~buses:1 ()) icn
+        and+ grid = dflt "grid" Freqgrid.Unrestricted grid in
+        let clusters = Array.of_list (List.mapi (fun i c -> c i) clusters) in
+        Machine.make ~name ~grid ~clusters ~icn ()))
+
+let of_string s = Decode.of_string decoder s
 
 let to_json (m : Machine.t) =
   J.Obj

@@ -13,10 +13,11 @@ val max_grid_steps : int
 (** 64: the most frequency-grid steps a description, a request's
     ["grid_steps"] or the CLI's [--steps] may ask for. *)
 
-val of_json : Jsonx.t -> (Machine.t, string) result
-val of_string : string -> (Machine.t, string) result
+val decoder : Machine.t Decode.t
+(** The one reader of descriptions: [--machine FILE], the wire's
+    ["machine"] field and {!Hcv_core.Sweep}'s cells. *)
 
-val to_json : Machine.t -> Jsonx.t
+val of_string : string -> (Machine.t, string) result
 
 val to_string : Machine.t -> string
 (** Canonical: every field is emitted explicitly, so structurally equal

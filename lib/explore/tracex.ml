@@ -23,29 +23,17 @@ let rec json_of_node ?(wall = false) (n : Trace.node) =
         [ ("children", Jsonx.List (List.map (json_of_node ~wall) cs)) ])
     @ if wall then wall_fields n else [])
 
-let rec node_of_json j =
-  let ( let* ) = Option.bind in
-  let* name = Option.bind (Jsonx.member "span" j) Jsonx.str in
-  let obj_pairs field of_v =
-    match Jsonx.member field j with
-    | Some (Jsonx.Obj kvs) ->
-      List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) (of_v v)) kvs
-    | Some _ | None -> []
-  in
-  let attrs = obj_pairs "attrs" Jsonx.str in
-  let counters = obj_pairs "counters" Jsonx.int in
-  let volatile = obj_pairs "volatile" Jsonx.num in
-  let wall_ns =
-    match Option.bind (Jsonx.member "wall_us" j) Jsonx.num with
-    | Some us -> us *. 1e3
-    | None -> 0.0
-  in
-  let children =
-    match Jsonx.member "children" j with
-    | Some (Jsonx.List cs) -> List.filter_map node_of_json cs
-    | Some _ | None -> []
-  in
-  Some { Trace.name; attrs; counters; volatile; wall_ns; children }
+let node =
+  Decode.(
+    fix (fun node ->
+        obj "span"
+          (let+ name = req "span" string
+           and+ attrs = dflt "attrs" [] (assoc string)
+           and+ counters = dflt "counters" [] (assoc int)
+           and+ children = dflt "children" [] (list node)
+           and+ volatile = dflt "volatile" [] (assoc number)
+           and+ wall_ns = dflt "wall_us" 0.0 (map (( *. ) 1e3) number) in
+           { Trace.name; attrs; counters; volatile; wall_ns; children })))
 
 let jsonl ?(wall = false) node =
   let rec go depth acc (n : Trace.node) =

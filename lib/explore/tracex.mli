@@ -18,9 +18,9 @@ val json_of_node : ?wall:bool -> Trace.node -> Jsonx.t
 (** Nested object form (children inline), used for cache round-trips.
     Default [wall:false]. *)
 
-val node_of_json : Jsonx.t -> Trace.node option
-(** Inverse of {!json_of_node}; missing wall/volatile fields decode as
-    zero/empty. *)
+val node : Trace.node Decode.t
+(** Reads either view of {!json_of_node}; absent wall/volatile fields
+    decode as zero/empty. *)
 
 val jsonl : ?wall:bool -> Trace.node -> string list
 (** Pre-order, one line per span: [{"depth":d,"span":name,...}]. *)

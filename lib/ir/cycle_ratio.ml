@@ -16,101 +16,58 @@ let induced ddg nodes =
           (Ddg.succs ddg v))
       nodes
   in
-  (n, edges)
+  (n, Array.of_list edges)
 
-(* Bellman-Ford longest-path relaxation with weights l - r*d; a node
-   still relaxable after n rounds witnesses a positive cycle. *)
-let positive_cycle n edges r =
-  if n = 0 || edges = [] then false
-  else begin
-    let dist = Array.make n Q.zero in
-    let changed = ref true in
-    let rounds = ref 0 in
-    while !changed && !rounds <= n do
-      changed := false;
-      incr rounds;
-      List.iter
-        (fun (s, d, l, dst_d) ->
-          let w = Q.(sub (of_int l) (mul r (of_int dst_d))) in
-          let candidate = Q.add dist.(s) w in
-          if Q.( > ) candidate dist.(d) then begin
-            dist.(d) <- candidate;
-            changed := true
-          end)
-        edges;
-    done;
-    !changed
-  end
+(* Bellman-Ford longest paths from a virtual source under the integer
+   weights [q*l - p*d], each node remembering the edge that last raised
+   it.  A node still raised in round [n] lies [n] such edges from a cycle
+   of them, and every such cycle has positive weight, so a ratio above
+   [p/q]: the answer is its (sum l, sum d). *)
+let positive_cycle n edges ~p ~q =
+  let dist = Array.make n 0 and via = Array.make n (-1) in
+  let relax last i (s, d, l, dd) =
+    let w = dist.(s) + (q * l) - (p * dd) in
+    if w > dist.(d) then begin
+      dist.(d) <- w;
+      via.(d) <- i;
+      d
+    end
+    else last
+  in
+  let round () =
+    let last = ref (-1) in
+    Array.iteri (fun i e -> last := relax !last i e) edges;
+    !last
+  in
+  let rec rounds k =
+    let last = round () in
+    if last < 0 then None else if k < n then rounds (k + 1) else Some last
+  in
+  let src u = match edges.(via.(u)) with s, _, _, _ -> s in
+  let rec back u k = if k = 0 then u else back (src u) (k - 1) in
+  let rec around start u (sl, sd) =
+    let s, _, l, dd = edges.(via.(u)) in
+    if s = start then (sl + l, sd + dd) else around start s (sl + l, sd + dd)
+  in
+  Option.map
+    (fun v ->
+      let start = back v n in
+      around start start (0, 0))
+    (rounds 1)
 
 let has_positive_cycle ddg nodes r =
   let n, edges = induced ddg nodes in
-  positive_cycle n edges r
+  positive_cycle n edges ~p:(Q.num r) ~q:(Q.den r) <> None
 
-let has_cycle n edges =
-  (* A cycle exists iff lambda* > -1 given all latencies >= 0 and
-     distances >= 0: any cycle has weight sum l + sum d > 0 under
-     r = -1 (zero-distance cycles are excluded upstream, so sum d >= 1
-     even when sum l = 0). *)
-  positive_cycle n edges (Q.of_int (-1))
-
-let ceil_over ddg nodes =
-  let n, edges = induced ddg nodes in
-  if not (has_cycle n edges) then 0
-  else begin
-    (* Smallest integer r such that no positive cycle under l - r*d. *)
-    let hi = List.fold_left (fun acc (_, _, l, _) -> acc + max l 1) 1 edges in
-    let lo = ref 0 and hi = ref hi in
-    (* Invariant: positive cycle at (lo - 1) viewpoint... we search the
-       least infeasible->feasible boundary: feasible(r) = no positive
-       cycle. feasible(hi) holds (hi >= sum of latencies). *)
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if positive_cycle n edges (Q.of_int mid) then lo := mid + 1
-      else hi := mid
-    done;
-    !lo
-  end
-
-(* Simplest fraction in the open interval (lo, hi), via the
-   Stern-Brocot / continued-fraction descent.  Requires 0 <= lo < hi. *)
-let rec simplest lo hi =
-  assert (Q.( < ) lo hi);
-  let n = Q.floor lo in
-  if Q.( < ) (Q.of_int (n + 1)) hi then Q.of_int (n + 1)
-  else begin
-    let lo' = Q.sub lo (Q.of_int n) and hi' = Q.sub hi (Q.of_int n) in
-    (* 0 <= lo' < hi' <= 1 *)
-    if Q.sign lo' = 0 then
-      (* Need 1/y < hi', i.e. integer y > 1/hi'. *)
-      Q.add (Q.of_int n) (Q.inv (Q.of_int (Q.floor (Q.inv hi') + 1)))
-    else Q.add (Q.of_int n) (Q.inv (simplest (Q.inv hi') (Q.inv lo')))
-  end
-
+(* Every cycle's distances sum to at least 1, so every cycle has a ratio
+   above -1: the first step finds one, or there is none.  Each later
+   step jumps to the ratio of a positive cycle, strictly larger, until
+   no cycle is left above it. *)
 let exact_over ddg nodes =
   let n, edges = induced ddg nodes in
-  if not (has_cycle n edges) then None
-  else if not (positive_cycle n edges Q.zero) then
-    (* All cycles have zero total latency (latencies are >= 0, so
-       lambda* >= 0, and lambda* > 0 just failed). *)
-    Some Q.zero
-  else begin
-    let total_dist =
-      List.fold_left (fun acc (_, _, _, d) -> acc + d) 0 edges
-    in
-    let total_dist = max total_dist 1 in
-    (* lambda* = p/q with 1 <= q <= total_dist.  Distinct candidate
-       ratios differ by at least 1/total_dist^2; binary-search r down to
-       an interval narrower than that, keeping the invariant
-       lambda* in (lo, hi]. *)
-    let gap = Q.make 1 (total_dist * total_dist) in
-    let hi0 = List.fold_left (fun acc (_, _, l, _) -> acc + max l 0) 1 edges in
-    let lo = ref Q.zero and hi = ref (Q.of_int hi0) in
-    while Q.( > ) (Q.sub !hi !lo) (Q.div_int gap 4) do
-      let mid = Q.div_int (Q.add !lo !hi) 2 in
-      if positive_cycle n edges mid then lo := mid else hi := mid
-    done;
-    (* The open interval (lo, hi + gap/2) contains lambda* (> lo since
-       positive_cycle lo holds) and no other fraction with denominator
-       <= total_dist; the simplest fraction in it is lambda*. *)
-    Some (simplest !lo (Q.add !hi (Q.div_int gap 2)))
-  end
+  let rec climb (p, q) =
+    match positive_cycle n edges ~p ~q with
+    | None -> Q.make p q
+    | Some ratio -> climb ratio
+  in
+  Option.map climb (positive_cycle n edges ~p:(-1) ~q:1)

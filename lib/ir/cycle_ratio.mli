@@ -14,17 +14,20 @@
 
 open Hcv_support
 
-val ceil_over : Ddg.t -> Instr.id list -> int
-(** [ceil_over ddg nodes] is [ceil lambda*] restricted to the edges with
-    both endpoints in [nodes], i.e. the minimum integer II at which the
-    subgraph's recurrences fit.  Returns [0] if the subgraph has no
-    cycle. *)
-
 val exact_over : Ddg.t -> Instr.id list -> Q.t option
-(** Exact [lambda*] as a rational, [None] if the subgraph has no cycle.
-    Computed by parametric search (positive-cycle detection under
-    weights [l - r*d]) followed by simplest-fraction recovery, so the
-    result is exact, not a float approximation. *)
+(** Exact [lambda*] over the edges with both endpoints in [nodes], as a
+    rational; [None] if that subgraph has no cycle.
+
+    Computed in integers: a Bellman-Ford test for a cycle with
+    [q * sum l - p * sum d > 0] under the current candidate [p/q],
+    starting below every ratio, then a jump to the ratio of the positive
+    cycle it finds, until none is left.  Every candidate is the
+    [(sum l, sum d)] of a simple cycle.  With [n] nodes, [m] edges and
+    edge values up to {!Dsl.max_edge_value} (255), each weight is below
+    [2 * 255^2 * n] and each of the [n] rounds raises a distance by less
+    than [m] weights, so every sum stays below [2 * 255^2 * n * m]:
+    exact in 63 bits while [n * m < 3.5e13], which holds for any loop
+    of a few million instructions. *)
 
 val has_positive_cycle : Ddg.t -> Instr.id list -> Q.t -> bool
 (** [has_positive_cycle ddg nodes r] tests whether the subgraph has a

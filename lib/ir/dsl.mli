@@ -25,34 +25,23 @@ val max_edge_value : int
     are at most 18 and the generators' distances at most 2.
 
     Why 255.  Downstream of the parser an edge's latency and distance
-    enter exact integer arithmetic that nothing checks for overflow, in
-    two places:
+    enter exact integer arithmetic that nothing checks for overflow:
+    the schedulers' integer time base ([Hcv_sched.Timing.Memo]).  Every
+    tick count of a clocking is at most [2^40] and no cycle time exceeds
+    the IT, so one edge adds at most 255 ITs to a definition time
+    ([eff_ct * lat]) or to a consumer's need ([IT * dist]), and each
+    product stays below [2^48].  Along a dependence path an instruction
+    starts at most [lat + b + 4] ITs after its producer (latency, a bus
+    of [b] cycles plus one of synchronisation, and the II-wide scan), so
+    a schedule of [n] instructions is [L <= n * (255 + b + 4)] ITs long.
+    timing.mli's bound, exact while [n * L < 2^22], then holds for every
+    loop of up to 126 instructions at [b <= 4] even at [2^40] ticks per
+    IT; the clockings the schedulers meet use a few ticks per ns.
+    ({!Cycle_ratio.exact_over} states its own, far larger, bound.)
 
-    - The schedulers' integer time base ([Hcv_sched.Timing.Memo]).
-      Every tick count of a clocking is at most [2^40] and no cycle
-      time exceeds the IT, so one edge adds at most 255 ITs to a
-      definition time ([eff_ct * lat]) or to a consumer's need ([IT *
-      dist]), and each product stays below [2^48].  Along a dependence
-      path an instruction starts at most [lat + b + 4] ITs after its
-      producer (latency, a bus of [b] cycles plus one of
-      synchronisation, and the II-wide scan), so a schedule of [n]
-      instructions is [L <= n * (255 + b + 4)] ITs long.  timing.mli's
-      bound, exact while [n * L < 2^22], then holds for every loop of
-      up to 126 instructions at [b <= 4] even at [2^40] ticks per IT;
-      the clockings the schedulers meet use a few ticks per ns.
-    - {!Cycle_ratio.exact_over} bisects with dyadic fractions whose
-      denominators grow with a recurrence's latency sum times the
-      square of its distance sum.  At 255 per edge a simple cycle of up
-      to 16 edges is computed exactly: equal values near the bound on
-      every edge fail first, at 17 edges, and 120,000 random cycles of
-      at most 16 edges all agreed with their latency sum over their
-      distance sum.  With one loop-carried edge, the usual shape, a
-      cycle of 100 edges at the bound is still exact.  test_dsl pins
-      both cases.
-
-    No bound on single values makes either argument hold for loops of
-    any size: both also need the loop to be small, as they did before
-    this bound.  What the bound removes is the wrap a single value
+    No bound on single values makes this argument hold for loops of any
+    size: it also needs the loop to be small, as it did before this
+    bound.  What the bound removes is the wrap a single value
     caused, such as [lat 4611686018427387000] scheduling a consumer
     four cycles after its producer. *)
 

@@ -3,7 +3,7 @@
     A [Diag.t] replaces the bare [string] errors (and the
     pipeline-reachable [failwith]s) of the flow: it carries a
     machine-readable [code], the [stage] that raised it (filled in by
-    {!Hcv_pass.Pass.run} when the stage itself did not), the human
+    [Hcv_core.Pipeline.run] when the stage itself did not), the human
     message, and a list of key/value context pairs (loop name, IT,
     attempt count, ...) that make a failure debuggable without re-running
     under a logger.

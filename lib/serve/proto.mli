@@ -1,62 +1,47 @@
-(** The JSONL wire protocol of the scheduling service.
-
-    One JSON object per line in both directions, parsed and printed
-    with {!Hcv_explore.Jsonx} — no new dependencies, and the exact
-    float forms the sweep cache already uses.
+(** The JSONL wire protocol of the scheduling service: one JSON object
+    per line each way, read by {!Hcv_explore.Decode} and printed by
+    {!Hcv_explore.Jsonx} in the sweep cache's exact float forms.
 
     {2 Requests}
 
-    Every request carries a client-chosen ["id"] (any non-empty string,
-    echoed verbatim in the response) and an ["op"]:
+    The envelope, which every op accepts, is ["id"] (a non-empty string,
+    echoed in the response), ["op"] and ["deadline_ms"] (optional,
+    >= 0).  The op picks the other fields:
 
-    - [{"id":..,"op":"ping"}] — liveness probe;
-    - [{"id":..,"op":"stats"}] — daemon counters and cache statistics
-      (volatile: two runs legitimately differ);
-    - [{"id":..,"op":"shutdown"}] — acknowledge, flush, and stop;
-    - [{"id":..,"op":"explore","bench":NAME,...}] — run the full
-      profile/select/schedule pipeline for a synthetic SPECfp
-      benchmark;
-    - [{"id":..,"op":"schedule","dsl":TEXT,...}] or
-      [{"id":..,"op":"schedule","graph":G,...}] — the same pipeline
-      over a client-supplied workload: either loop-DSL text
-      ({!Hcv_ir.Dsl}) or a JSON DDG payload (see {!section-graph});
-    - [{"id":..,"op":"frontier","bench":NAME,...}] — [explore] plus the
-      optional frontier stage: takes every [explore] option and,
-      additionally, ["objectives"] (list of
-      [time]/[energy]/[ed2]/[edp]/[power]; default all) and ["caps"]
-      ([[NAME, BOUND],...]; default none) in
-      {!Hcv_core.Frontier.spec_of_json} form; the result gains the
-      frontier members.  An unbudgeted [frontier] request keys exactly
-      as the CLI's frontier sweep cell, so the daemon shares its warm
-      cache.
+    - ["ping"], ["stats"] (daemon counters; volatile) and ["shutdown"]
+      (acknowledge, flush and stop): none;
+    - ["explore"]: ["bench"] (a SPECfp name), ["loops"] (1..64, default
+      per-spec), ["seed"] (default 42) and the run fields;
+    - ["frontier"]: the [explore] fields, ["objectives"] and ["caps"]
+      ({!Hcv_core.Frontier.spec_fields}).  The result gains the frontier
+      members; an unbudgeted request keys as the CLI's frontier sweep
+      cell;
+    - ["schedule"]: ["name"] (default ["adhoc"]), exactly one of ["dsl"]
+      ({!Hcv_ir.Dsl} text) and ["graph"] ({!section-graph}), and the run
+      fields.
 
-    [explore] options: ["seed"] (default 42), ["loops"] (loop count
-    1..64, default per-spec).  Both run ops take the machine overrides
-    ["buses"] (1..8, default 1), ["grid_steps"] (frequency-grid steps
-    1..64, default unrestricted) and ["machine"] (a machine-family name such
-    as ["big-little"], or an inline machine-description object in
-    {!Hcv_explore.Machdesc} form; default the paper machine), a work
-    cap ["budget"] (default unlimited), a latency bound ["deadline_ms"]
-    (non-negative; default the server's, if any) and ["degrade"]
-    (boolean, default [false]).  With a budget and
-    [degrade:false], a request whose scheduling work exhausts the cap
-    is answered with a structured [budget-exhausted] error; with
-    [degrade:true] the response is the degraded (estimate-fallback)
-    result, causes included.  ["deadline_ms"] compiles onto the same
-    budget machinery (see {!Registry.effective_budget}): a request
-    whose deadline-derived work cap is exhausted answers
-    [deadline-exceeded] — or, with [degrade:true], the degraded
-    result — and ["deadline_ms":0] is the fast-fail probe that answers
-    immediately with whatever the estimate path can produce.
+    The run fields are ["buses"] (1..8, default 1), ["grid_steps"]
+    (1..64, default unrestricted), ["machine"] (a {!Hcv_machine.Family}
+    name or a {!Hcv_explore.Machdesc} object, default the paper
+    machine), ["budget"] (>= 1, default none) and ["degrade"] (default
+    [false]).  Exhausting the budget answers [budget-exhausted], or with
+    [degrade:true] the estimate-fallback result.  ["deadline_ms"]
+    compiles onto the same cap ({!Registry.effective_budget}) and
+    answers [deadline-exceeded]; [0] is the fast-fail probe.
+
+    An undeclared or repeated key, or a mistyped value, is a
+    [bad-request] that names the value by its path, as in
+    ["machine.clusters[0].speed"].  Defaults apply only to absent keys.
 
     {2:graph DDG payloads}
 
-    ["graph"] is one loop object or a list of them:
+    ["graph"] is one loop object or a non-empty list of them:
     [{"name":..,"trip":..,"weight":..,
       "nodes":[{"n":ID,"op":MNEMONIC},...],
       "edges":[{"s":ID,"d":ID,"dist":N,"lat":N,"kind":K},...]}]
-    with ["dist"]/["lat"]/["kind"] optional, exactly the DSL's
-    defaults.
+    with the DSL's defaults for everything but ["nodes"], ["n"],
+    ["op"], ["s"] and ["d"].  The registry refuses it field by field, as
+    [bad-graph].
 
     {2 Responses}
 
@@ -68,11 +53,9 @@
     deterministic: they depend only on the request content, never on
     the worker count, the batch composition or the cache state. *)
 
-(** The optional ["machine"] request field: absent ([Default] — the
-    paper machine), a {!Hcv_machine.Family} name (validated against the
-    known families), or an inline {!Hcv_explore.Machdesc} JSON object
-    ([Desc] holds its canonical re-serialisation, so equal machines key
-    equally whatever the client's formatting). *)
+(** The ["machine"] field; [Desc] holds the description's canonical
+    text, so equal machines key equally whatever the client's
+    formatting. *)
 type machine_choice =
   | Default
   | Family of string
@@ -96,10 +79,7 @@ type work = {
   spec : machine_spec;
   budget : int option;
   deadline_ms : int option;
-      (** the ["deadline_ms"] wire field (>= 0): compiled by the
-          registry onto the budget machinery
-          ({!Registry.effective_budget}); [0] is the fast-fail probe.
-          The dispatcher may fill in a server-side default. *)
+      (** the dispatcher may fill in a server-side default *)
   degrade : bool;
   frontier : Hcv_core.Frontier.spec option;
       (** present on ["frontier"] requests: the pipeline also runs the

@@ -1,6 +1,7 @@
 open Hcv_core
 module E = Hcv_explore
 module J = E.Jsonx
+module D = E.Decode
 module Diag = Hcv_obs.Diag
 open Hcv_workload
 
@@ -27,99 +28,62 @@ let err code ?context fmt =
    unknown edge endpoints, negative distances and latencies, DDG
    well-formedness) instead of duplicating it; what is checked here is
    what the text cannot show: each field's JSON type, and token safety,
-   since names become DSL tokens.  A field present with the wrong type
-   is refused by name, never silently dropped. *)
+   since names become DSL tokens. *)
 
-let token_ok s =
-  s <> ""
-  && String.for_all
-       (fun c -> c > ' ' && c <> '#' && Char.code c < 0x7f)
-       s
+let token =
+  let char c = c > ' ' && c <> '#' && Char.code c < 0x7f in
+  D.refine "a DSL token"
+    (fun s -> if s <> "" && String.for_all char s then Some s else None)
+    D.string
+
+(* An optional DSL attribute: absent renders as nothing. *)
+let tail fmt = Option.fold ~none:"" ~some:(Printf.sprintf fmt)
+
+let node =
+  D.(
+    obj "node"
+      (let+ n = req "n" token
+       and+ op = req "op" token in
+       Printf.sprintf "  node %s %s\n" n op))
+
+let edge =
+  D.(
+    obj "edge"
+      (let+ s = req "s" token
+       and+ d = req "d" token
+       and+ dist = opt "dist" int
+       and+ lat = opt "lat" int
+       and+ kind = opt "kind" token in
+       Printf.sprintf "  edge %s %s%s%s%s\n" s d (tail " dist %d" dist)
+         (tail " lat %d" lat) (tail " kind %s" kind)))
+
+let loop =
+  D.(
+    obj "loop"
+      (let+ name = dflt "name" "loop" token
+       and+ trip = opt "trip" int
+       and+ weight = opt "weight" number
+       and+ nodes = req "nodes" (list node)
+       and+ edges = dflt "edges" [] (list edge) in
+       String.concat ""
+         ((Printf.sprintf "loop %s%s%s\n" name (tail " trip %d" trip)
+             (tail " weight %.17g" weight)
+          :: nodes)
+         @ edges @ [ "end\n" ])))
+
+let graph =
+  let loops = D.map (String.concat "") (D.non_empty loop) in
+  D.union "a loop object or a list of them" (function
+    | J.List _ -> Some loops
+    | _ -> Some loop)
 
 let lower_graph g =
-  let ( let* ) = Result.bind in
-  let all f xs =
-    List.fold_left (fun acc x -> Result.bind acc (fun () -> f x)) (Ok ()) xs
-  in
-  let opt ~where j k what conv =
-    match J.member k j with
-    | None -> Ok None
-    | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None ->
-        err "bad-graph" ~context:[ ("field", k) ] "%s: field %S must be %s"
-          where k what)
-  in
-  let token v =
-    Option.bind (J.str v) (fun s -> if token_ok s then Some s else None)
-  in
-  let buf = Buffer.create 256 in
-  let lower l =
-    let* () =
-      match l with
-      | J.Obj _ -> Ok ()
-      | _ -> err "bad-graph" "loop must be a JSON object"
-    in
-    let* name = opt ~where:"loop" l "name" "a string" J.str in
-    let name = Option.value name ~default:"loop" in
-    let* () =
-      if token_ok name then Ok () else err "bad-graph" "bad loop name %S" name
-    in
-    let where = "loop " ^ name in
-    let* trip = opt ~where l "trip" "an integer" J.int in
-    let* weight = opt ~where l "weight" "a number" J.num in
-    let* nodes =
-      match Option.bind (J.member "nodes" l) J.list with
-      | Some ns -> Ok ns
-      | None -> err "bad-graph" "loop %s needs a \"nodes\" list" name
-    in
-    let* edges = opt ~where l "edges" "a list" J.list in
-    Printf.bprintf buf "loop %s" name;
-    Option.iter (Printf.bprintf buf " trip %d") trip;
-    Option.iter (Printf.bprintf buf " weight %.17g") weight;
-    Buffer.add_char buf '\n';
-    let* () =
-      all
-        (fun n ->
-          match
-            ( Option.bind (J.member "n" n) J.str,
-              Option.bind (J.member "op" n) J.str )
-          with
-          | Some id, Some op when token_ok id && token_ok op ->
-            Printf.bprintf buf "  node %s %s\n" id op;
-            Ok ()
-          | _ ->
-            err "bad-graph" "loop %s: node needs string \"n\" and \"op\"" name)
-        nodes
-    in
-    let* () =
-      all
-        (fun e ->
-          match
-            ( Option.bind (J.member "s" e) J.str,
-              Option.bind (J.member "d" e) J.str )
-          with
-          | Some s, Some d when token_ok s && token_ok d ->
-            let* dist = opt ~where e "dist" "an integer" J.int in
-            let* lat = opt ~where e "lat" "an integer" J.int in
-            let* kind = opt ~where e "kind" "a DSL token" token in
-            Printf.bprintf buf "  edge %s %s" s d;
-            Option.iter (Printf.bprintf buf " dist %d") dist;
-            Option.iter (Printf.bprintf buf " lat %d") lat;
-            Option.iter (Printf.bprintf buf " kind %s") kind;
-            Buffer.add_char buf '\n';
-            Ok ()
-          | _ ->
-            err "bad-graph" "loop %s: edge needs string \"s\" and \"d\"" name)
-        (Option.value edges ~default:[])
-    in
-    Buffer.add_string buf "end\n";
-    Ok ()
-  in
-  match (match g with J.List ls -> ls | l -> [ l ]) with
-  | [] -> err "bad-graph" "graph payload has no loops"
-  | loops -> Result.map (fun () -> Buffer.contents buf) (all lower loops)
+  Result.map_error
+    (fun (e : D.error) ->
+      Diag.v ~stage:"serve" ~code:"bad-graph"
+        ~context:[ ("field", e.D.field) ]
+        (D.message e))
+    (D.run ~root:"graph" graph g)
 
 (* ----- deadlines --------------------------------------------------- *)
 

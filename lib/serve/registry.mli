@@ -34,8 +34,9 @@ type task = {
 }
 
 val admit : Proto.work -> (task, Hcv_obs.Diag.t) result
-(** Validate and key one run request.  A JSON DDG field of the wrong
-    type is a [bad-graph] error naming it.  Keying resolves the cell's
+(** Validate and key one run request.  A JSON DDG field that is
+    unknown, repeated or mistyped is a [bad-graph] error naming its path,
+    with its key as the ["field"] context.  Keying resolves the cell's
     machine, so a description that does not parse raises here. *)
 
 val effective_budget : Proto.work -> int option

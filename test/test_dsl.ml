@@ -89,11 +89,11 @@ let test_edge_fields_bounded () =
   expect_error (three (at (Dsl.max_edge_value + 1))) 5;
   ignore (parse_one (three (at Dsl.max_edge_value)))
 
-(* dsl.mli's derivation of the maximum: recurrences whose edges sit at
-   the bound keep Cycle_ratio's arithmetic exact, for every simple cycle
-   of up to 16 edges (equal near-bound values on every edge are the
-   worst case) and for a 100-edge cycle closed by one loop-carried
-   edge. *)
+(* Recurrences whose edges sit at the bound keep Cycle_ratio exact: every
+   simple cycle of up to 16 edges at equal near-bound values, the
+   17-edge cycle at lat 240 and dist 245 and the 319-edge one at lat 19
+   and dist 18 that its earlier bisection failed on, and a 100-edge
+   cycle closed by one loop-carried edge. *)
 let test_bound_keeps_cycle_ratio_exact () =
   let cycle ~m ~lat ~dist ~carried =
     let b = Ddg.Builder.create () in
@@ -124,6 +124,8 @@ let test_bound_keeps_cycle_ratio_exact () =
         check ~m ~lat ~dist ~carried:(fun _ -> true) ~n_carried:m
       done)
     [ (top, top); (top, top - 2); (top - 1, top); (240, 245) ];
+  check ~m:17 ~lat:240 ~dist:245 ~carried:(fun _ -> true) ~n_carried:17;
+  check ~m:319 ~lat:19 ~dist:18 ~carried:(fun _ -> true) ~n_carried:319;
   List.iter
     (fun dist ->
       check ~m:100 ~lat:top ~dist ~carried:(fun i -> i = 99) ~n_carried:1)

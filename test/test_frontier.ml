@@ -113,18 +113,22 @@ let test_spec_json_roundtrip () =
       ~caps:[ { F.cap = F.Energy; bound = 2.5 } ]
       ()
   in
-  (match F.spec_of_json (F.spec_to_json s) with
+  let spec_of_json j =
+    Hcv_explore.Decode.(
+      Result.map_error message (run (obj "spec" F.spec_fields) j))
+  in
+  (match spec_of_json (F.spec_to_json s) with
   | Ok s' ->
     Alcotest.(check string) "roundtrips" (F.spec_key s) (F.spec_key s')
   | Error e -> Alcotest.failf "wire form did not parse: %s" e);
   (* Both fields optional with the spec defaults. *)
-  (match F.spec_of_json (Hcv_explore.Jsonx.Obj []) with
+  (match spec_of_json (Hcv_explore.Jsonx.Obj []) with
   | Ok s' ->
     Alcotest.(check string) "defaults" (F.spec_key F.default_spec)
       (F.spec_key s')
   | Error e -> Alcotest.failf "empty object did not parse: %s" e);
   match
-    F.spec_of_json
+    spec_of_json
       (Hcv_explore.Jsonx.Obj
          [
            ( "objectives",

@@ -25,6 +25,27 @@ let test_fuzz_200 () =
     true
     (r.Diff.scheduled >= 180)
 
+(* A logged failure replays its case: the seed reads back exactly, past
+   2^53 too, where a JSON number would have been rounded. *)
+let test_logged_seed_exact () =
+  let seed = 1774382159293519383 in
+  let f =
+    {
+      Diff.seed;
+      category = Diff.Estimate_out_of_band;
+      detail = "";
+      repro = "";
+    }
+  in
+  let line = Hcv_explore.Jsonx.to_string (Diff.failure_json f) in
+  let logged =
+    Hcv_explore.Decode.(
+      of_string
+        (peek "failure" (req "seed" (refine "a seed" int_of_string_opt string)))
+        line)
+  in
+  Alcotest.(check (result int string)) line (Ok seed) logged
+
 (* ----- pinned shrunk repros ---------------------------------------- *)
 
 let ctx_for machine =
@@ -153,6 +174,7 @@ let test_pinned_repro (name, rule, corrupt) () =
 
 let suite =
   Alcotest.test_case "200 seeded differential cases" `Quick test_fuzz_200
+  :: Alcotest.test_case "logged seeds are exact" `Quick test_logged_seed_exact
   :: List.map
        (fun ((name, _, _) as sc) ->
          Alcotest.test_case

@@ -1,7 +1,6 @@
 (* End-to-end integration: DSL text -> heterogeneous scheduling ->
    code emission -> simulation, all consistent with each other. *)
 
-open Hcv_support
 open Hcv_ir
 open Hcv_machine
 open Hcv_energy
@@ -113,21 +112,6 @@ let test_dsl_roundtrip_through_scheduler () =
           (Mii.mii machine b.Loop.ddg))
       loops loops2
 
-let test_acyclic_vs_pipelined () =
-  (* For the horner recurrence the acyclic schedule is nearly as good
-     (the recurrence serialises everything); for saxpy pipelining
-     wins clearly. *)
-  let loops = parse () in
-  let saxpy = List.find (fun (l : Loop.t) -> l.Loop.name = "saxpy") loops in
-  match
-    List_sched.speedup_of_pipelining ~machine ~cycle_time:Q.one ~loop:saxpy ()
-  with
-  | Error msg -> Alcotest.failf "failed: %s" msg
-  | Ok speedup ->
-    Alcotest.(check bool)
-      (Printf.sprintf "saxpy speedup %.2f > 1.5" speedup)
-      true (speedup > 1.5)
-
 let test_oracle_over_pipelines () =
   (* The independent legality oracle accepts every schedule the
      evaluation pipelines produce: the full flow on the unrestricted
@@ -231,5 +215,4 @@ let suite =
       test_energy_model_consistency;
     Alcotest.test_case "DSL roundtrip through the scheduler" `Quick
       test_dsl_roundtrip_through_scheduler;
-    Alcotest.test_case "acyclic vs pipelined" `Quick test_acyclic_vs_pipelined;
   ]

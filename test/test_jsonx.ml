@@ -154,8 +154,92 @@ let test_oversized_payload () =
   | Ok _ -> Alcotest.fail "accepted unterminated nesting"
   | Error _ -> ()
 
+(* ----- the typed decoder -------------------------------------------- *)
+
+let point =
+  Decode.(
+    obj "point"
+      (let+ x = req "x" int and+ y = dflt "y" 0 (int_in 0 ~max:9) in
+       (x, y)))
+
+let shape =
+  Decode.(
+    obj "shape"
+      (let+ name = req "name" string
+       and+ points = dflt "points" [] (list point) in
+       (name, points)))
+
+let decode text =
+  match Jsonx.of_string text with
+  | Ok j -> Decode.run shape j
+  | Error msg -> Alcotest.failf "%s: %s" text msg
+
+(* Each refusal names the value by its path, and says why. *)
+let refused text ~path ~field ~msg =
+  match decode text with
+  | Ok _ -> Alcotest.failf "accepted %s" text
+  | Error e ->
+    Alcotest.(check (triple string string string))
+      text (path, field, msg)
+      (e.Decode.path, e.Decode.field, Decode.message e)
+
+let test_decode () =
+  Alcotest.(check (result (pair string (list (pair int int))) reject))
+    "declared fields, a default from absence"
+    (Ok ("s", [ (1, 0); (2, 3) ]))
+    (decode {|{"name":"s","points":[{"x":1},{"x":2,"y":3}]}|});
+  refused {|{"points":[]}|} ~path:"name" ~field:"name"
+    ~msg:{|shape needs a string "name"|};
+  refused {|{"name":5}|} ~path:"name" ~field:"name"
+    ~msg:{|field "name" must be a string|};
+  refused {|{"name":"s","points":[{"x":1,"y":10}]}|} ~path:"points[0].y"
+    ~field:"y" ~msg:{|field "points[0].y" must be an integer in 0..9|};
+  refused {|{"name":"s","colour":1}|} ~path:"colour" ~field:"colour"
+    ~msg:{|unknown field "colour"|};
+  refused {|{"name":"s","name":"t"}|} ~path:"name" ~field:"name"
+    ~msg:{|duplicate field "name"|};
+  refused {|{"name":"s","points":[{"x":1},{"y":1}]}|} ~path:"points[1].x"
+    ~field:"x" ~msg:{|point needs an integer "points[1].x"|};
+  (* A mistyped optional field is an error, never its default. *)
+  refused {|{"name":"s","points":null}|} ~path:"points" ~field:"points"
+    ~msg:{|field "points" must be a list|};
+  refused {|{"name":"s","points":[{"x":9007199254740993}]}|}
+    ~path:"points[0].x" ~field:"x"
+    ~msg:{|field "points[0].x" must be an integer|}
+
+(* A tag picks the field set; [peek] reads one field and skips the
+   rest. *)
+let test_decode_tagged () =
+  let shape =
+    Decode.(
+      tagged "shape" "kind"
+        [
+          ("dot", return 0);
+          ("bar", let+ n = req "n" (int_in 1) in n);
+        ])
+  in
+  let run ?(d = shape) text =
+    Result.map_error Decode.message
+      (Decode.run d (Result.get_ok (Jsonx.of_string text)))
+  in
+  Alcotest.(check (result int string)) "a case" (Ok 3)
+    (run {|{"kind":"bar","n":3}|});
+  Alcotest.(check (result int string)) "a case's own fields only"
+    (Error {|unknown field "n"|})
+    (run {|{"kind":"dot","n":3}|});
+  Alcotest.(check (result int string)) "the case names the object"
+    (Error {|kind "bar" needs a positive integer "n"|})
+    (run {|{"kind":"bar"}|});
+  Alcotest.(check (result int string)) "an unknown tag"
+    (Error {|unknown kind "box"|})
+    (run {|{"kind":"box"}|});
+  Alcotest.(check (result int string)) "peek skips other keys" (Ok 3)
+    (run ~d:Decode.(peek "shape" (req "n" int)) {|{"kind":"bar","n":3,"n":4}|})
+
 let suite =
   [
+    Alcotest.test_case "decoder refusals name their path" `Quick test_decode;
+    Alcotest.test_case "decoder tags and peeks" `Quick test_decode_tagged;
     Alcotest.test_case "round-trips" `Quick test_roundtrip;
     Alcotest.test_case "float bit-exactness" `Quick test_float_exactness;
     Alcotest.test_case "rejects malformed input" `Quick test_parse_errors;

@@ -59,31 +59,36 @@ let test_span_tree () =
   Alcotest.(check int) "find_all finds nested spans" 1
     (List.length (Trace.find_all node "leaf"))
 
-(* ----- pass provenance --------------------------------------------- *)
+(* ----- stage provenance -------------------------------------------- *)
 
-let test_pass_stamps_stage () =
-  let open Hcv_pass in
-  let p =
-    Pass.v ~name:"first" (fun sp x ->
-        Trace.incr sp "seen";
-        Ok (x + 1))
-    |> fun a ->
-    Pass.( >>> ) a
-      (Pass.v ~name:"second" (fun _ _ ->
-           Error (Diag.v ~code:"boom" "stage-local failure")))
+(* A failing stage names itself: a dot product on a machine with integer
+   units only fails in [profile], under that stage's span, and nothing
+   after it runs. *)
+let test_pipeline_stamps_stage () =
+  let open Hcv_machine in
+  let int_only =
+    Machine.make ~name:"int-only"
+      ~clusters:
+        [|
+          Cluster.make ~int_fus:2 ~fp_fus:0 ~mem_ports:0 ~registers:16 ();
+        |]
+      ~icn:(Icn.make ~buses:1 ()) ()
   in
-  Alcotest.(check (list string)) "names in order" [ "first"; "second" ]
-    (Pass.names p);
   let sp = Trace.root "run" in
-  (match Pass.run ~obs:sp p 1 with
-  | Ok _ -> Alcotest.fail "expected the second stage to fail"
+  (match
+     Pipeline.run ~obs:sp ~machine:int_only ~name:"dotprod"
+       ~loops:[ Builders.dotprod ~trip:10 () ]
+       ()
+   with
+  | Ok _ -> Alcotest.fail "an integer-only machine ran a dot product"
   | Error d ->
+    Alcotest.(check string) "code" "machine-incapable" (Diag.code d);
     Alcotest.(check (option string))
-      "failing stage stamped" (Some "second") (Diag.stage d));
+      "failing stage stamped" (Some "profile") (Diag.stage d));
   let node = Option.get (Trace.export sp) in
-  Alcotest.(check bool) "one span per executed stage" true
-    (Trace.find_all node "stage:first" <> []
-    && Trace.find_all node "stage:second" <> [])
+  Alcotest.(check (list string))
+    "one span, the failing stage's" [ "stage:profile" ]
+    (List.map (fun (n : Trace.node) -> n.Trace.name) node.Trace.children)
 
 (* ----- the null sink is free --------------------------------------- *)
 
@@ -201,9 +206,12 @@ let test_tracex_roundtrip () =
   Trace.vol sp "cache.hits" 1.0;
   let node = Option.get (Trace.export sp) in
   let det = E.Tracex.json_of_node ~wall:false node in
-  (match E.Tracex.node_of_json det with
-  | None -> Alcotest.fail "deterministic view does not decode"
-  | Some node' ->
+  Alcotest.(check bool) "timed view decodes" true
+    (Result.is_ok
+       (E.Decode.run E.Tracex.node (E.Tracex.json_of_node ~wall:true node)));
+  (match E.Decode.run E.Tracex.node det with
+  | Error _ -> Alcotest.fail "deterministic view does not decode"
+  | Ok node' ->
     Alcotest.(check string) "name survives" node.Trace.name node'.Trace.name;
     Alcotest.(check bool) "volatile stripped from deterministic view" true
       (node'.Trace.volatile = [] && node'.Trace.wall_ns = 0.0);
@@ -296,8 +304,8 @@ let suite =
   [
     Alcotest.test_case "diag rendering and provenance" `Quick test_diag_render;
     Alcotest.test_case "span tree and counters" `Quick test_span_tree;
-    Alcotest.test_case "pass stamps the failing stage" `Quick
-      test_pass_stamps_stage;
+    Alcotest.test_case "pipeline stamps the failing stage" `Quick
+      test_pipeline_stamps_stage;
     Alcotest.test_case "null sink allocates nothing" `Quick
       test_null_sink_zero_alloc;
     Alcotest.test_case "null sink free on Pseudo.estimate" `Quick

@@ -241,6 +241,77 @@ let test_proto_machine () =
     (parse_err
        {|{"id":"x","op":"explore","bench":"applu","machine":{"clusters":[{"int":1,"fp":1,"mem":1}],"grid":{"kind":"uniform","steps":65,"top":"20/9"}}}|})
 
+(* Every boundary refuses a key it does not declare, a key bound twice
+   and a value of the wrong type, naming the value by its JSON path:
+   none of these lines is answered, or run, as if the field were absent
+   or took its default. *)
+let test_boundary_refusals () =
+  let swim rest = {|"bench":"swim","loops":1,|} ^ rest in
+  let dsl = {|"dsl":"loop x\n node a ld.f\nend\n"|} in
+  let cases =
+    [
+      ("b", "explore", swim {|"bus":2|}, "bad-request", "bus");
+      ("d", "explore", swim {|"budget":1,"degrade":"yes"|}, "bad-request", "degrade");
+      ("f", "explore", swim {|"buses":2,"buses":1|}, "bad-request", "buses");
+      ("k", "explore", swim {|"seed":7,"seed":8|}, "bad-request", "seed");
+      ("g", "ping", {|"bench":"swim"|}, "bad-request", "bench");
+      ("h", "explore", swim {|"objectives":["time"]|}, "bad-request", "objectives");
+      ( "i",
+        "explore",
+        swim {|"machine":{"clusters":[{"int":1,"fp":1,"mem":1,"speed":3}]}|},
+        "bad-request",
+        "machine.clusters[0].speed" );
+      ( "j",
+        "schedule",
+        {|"graph":{"name":"g","trip":8,"nodes":[{"n":"a","op":"ld.f","lat":3}],"edges":[]}|},
+        "bad-graph",
+        "graph.nodes[0].lat" );
+      ("n", "schedule", {|"name":5,|} ^ dsl, "bad-request", "name");
+      ("o", "frontier", swim {|"objectives":null|}, "bad-request", "objectives");
+      ("s", "schedule", dsl ^ {|,"loops":3|}, "bad-request", "loops");
+      (* The same refusals one level down or more. *)
+      ( "c",
+        "explore",
+        swim {|"machine":{"clusters":[{"int":1,"int":2,"fp":1,"mem":1}]}|},
+        "bad-request",
+        "machine.clusters[0].int" );
+      ( "e",
+        "schedule",
+        {|"graph":{"name":"g","nodes":[{"n":"a","op":"ld.f"},{"n":"b","op":"add.f"}],"edges":[{"s":"a","d":"b","weight":2}]}|},
+        "bad-graph",
+        "graph.edges[0].weight" );
+      ("p", "frontier", swim {|"caps":[["energy","2"]]|}, "bad-request", "caps[0][1]");
+    ]
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun (id, op, rest, code, path) ->
+      let line = Printf.sprintf {|{"id":"%s","op":"%s",%s}|} id op rest in
+      let echoed, d =
+        match S.Proto.parse line with
+        | Error (echoed, d) -> (echoed, d)
+        | Ok { S.Proto.req = S.Proto.Run w; _ } -> (
+          match S.Registry.admit w with
+          | Error d -> (Some id, d)
+          | Ok _ -> Alcotest.failf "admitted %s" line)
+        | Ok _ -> Alcotest.failf "accepted %s" line
+      in
+      Alcotest.(check (pair (option string) string))
+        (line ^ ": id echoed, code") (Some id, code)
+        (echoed, Hcv_obs.Diag.code d);
+      let msg = Hcv_obs.Diag.message d in
+      if not (contains msg (Printf.sprintf "%S" path)) then
+        Alcotest.failf "%s: %S does not name %S" line msg path)
+    cases;
+  (* The envelope is every op's: a ping may carry a deadline. *)
+  ignore (parse_ok {|{"id":"q","op":"ping","deadline_ms":5}|})
+
 let test_proto_responses () =
   let ok = S.Proto.ok_line ~id:"a" ~op:"ping" () in
   (match S.Proto.parse_response ok with
@@ -1211,6 +1282,8 @@ let suite =
     Alcotest.test_case "proto parses requests" `Quick test_proto_parse;
     Alcotest.test_case "proto refuses an inexact seed" `Quick test_proto_seed;
     Alcotest.test_case "proto machine field" `Quick test_proto_machine;
+    Alcotest.test_case "every boundary refuses unknown, duplicate and \
+                        mistyped fields" `Quick test_boundary_refusals;
     Alcotest.test_case "proto renders responses" `Quick test_proto_responses;
     Alcotest.test_case "registry content keys" `Quick test_registry_keys;
     Alcotest.test_case "frontier op" `Quick test_frontier_op;
